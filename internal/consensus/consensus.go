@@ -29,7 +29,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"targetedattacks/internal/identity"
@@ -300,17 +299,31 @@ func AgreeOnSeed(members []*Member, contributions [][]byte, f int) (map[int][32]
 // SelectIndices expands an agreed seed into a uniform random k-subset of
 // {0,…,n−1} (partial Fisher-Yates), the randomized choice used by the
 // protocol_k core maintenance and the split operation.
+//
+// Its contract is bit-exact: starting from perm = 0…n−1, swap perm[i]
+// with perm[i+rng.Intn(n−i)] for i < k, where
+// rng = rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(seed[:8])))),
+// and return perm[:k] sorted. The swarm benchmark digests and the
+// overlaynet stream pins depend on it. The draws come from lazySource,
+// which skips math/rand's 607-word seeding; k = 0 and k = n draw
+// nothing, since the generator is local and the set is then fixed.
 func SelectIndices(seed [32]byte, n, k int) ([]int, error) {
 	if n < 0 || k < 0 || k > n {
 		return nil, fmt.Errorf("consensus: cannot select %d of %d", k, n)
 	}
-	rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(seed[:8]))))
+	if k == 0 {
+		return []int{}, nil
+	}
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
+	if k == n {
+		return perm, nil
+	}
+	src := newLazySource(int64(binary.BigEndian.Uint64(seed[:8])))
 	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
+		j := i + src.intn(n-i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	out := perm[:k]

@@ -50,6 +50,10 @@ func LabelFromString(s string) (Label, error) {
 // Length returns the number of bits in the prefix.
 func (l Label) Length() int { return l.length }
 
+// Prefix64 returns the label's bits left-aligned in a word, most
+// significant first; bits beyond Length are zero.
+func (l Label) Prefix64() uint64 { return l.bits }
+
 // Bit returns bit i (0 = most significant).
 func (l Label) Bit(i int) (int, error) {
 	if i < 0 || i >= l.length {
@@ -140,14 +144,8 @@ func (l Label) Matches(id identity.ID) bool {
 	if l.length > id.Bits() {
 		return false
 	}
-	for i := 0; i < l.length; i++ {
-		lb, _ := l.Bit(i)
-		ib, err := id.Bit(i)
-		if err != nil || lb != ib {
-			return false
-		}
-	}
-	return true
+	mask := ^uint64(0) << (MaxLabelBits - l.length) // 0 for the root
+	return (l.bits^id.Prefix64())&mask == 0
 }
 
 // Distance is the paper's distance D between an identifier and a cluster

@@ -291,3 +291,40 @@ func TestChildAtMaxDepth(t *testing.T) {
 		t.Error("64-bit label child: want error")
 	}
 }
+
+// TestMatchesWordEqualsBitLoop checks the word-level Matches against the
+// per-bit definition for every label length 0…64 and ID width 1…256,
+// on labels cut from the identifier itself with an occasional flipped
+// bit, so both outcomes occur at every length.
+func TestMatchesWordEqualsBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for m := 1; m <= identity.MaxIDBits; m++ {
+		var digest [32]byte
+		rng.Read(digest[:])
+		id, err := identity.NewID(digest, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for length := 0; length <= MaxLabelBits; length++ {
+			l := RootLabel()
+			for i := 0; i < length; i++ {
+				bit := int(digest[i/8]>>(7-uint(i%8))) & 1
+				if rng.Intn(4*length) == 0 {
+					bit ^= 1
+				}
+				if l, err = l.Child(bit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := length <= m
+			for i := 0; want && i < length; i++ {
+				lb, _ := l.Bit(i)
+				ib, _ := id.Bit(i)
+				want = lb == ib
+			}
+			if got := l.Matches(id); got != want {
+				t.Fatalf("label %v Matches(m=%d id %v) = %v, want %v", l, m, id, got, want)
+			}
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // MaxIDBits is the maximum identifier width (bits of a sha-256 digest).
@@ -37,16 +38,30 @@ func NewID(digest [32]byte, m int) (ID, error) {
 		return ID{}, fmt.Errorf("identity: id width %d outside [1,%d]", m, MaxIDBits)
 	}
 	id := ID{b: digest, m: m}
-	// Zero the bits beyond m so Equal and String depend only on the
-	// truncated value.
-	for i := m; i < MaxIDBits; i++ {
-		id.clearBit(i)
-	}
+	id.truncate()
 	return id, nil
 }
 
-func (id *ID) clearBit(i int) {
-	id.b[i/8] &^= 1 << (7 - uint(i%8))
+// truncate zeroes the bits beyond m so Equal and String depend only on
+// the truncated value.
+func (id *ID) truncate() {
+	if r := id.m % 8; r != 0 {
+		id.b[id.m/8] &= 0xFF << (8 - r)
+	}
+	clear(id.b[(id.m+7)/8:])
+}
+
+// Prefix64 returns the identifier's leading 64 bits, most significant
+// first; bits beyond the width read as zero.
+func (id ID) Prefix64() uint64 { return binary.BigEndian.Uint64(id.b[:8]) }
+
+// WithPrefix returns the identifier with its leading n bits (0 ≤ n ≤ 64)
+// replaced by the leading n bits of prefix, keeping the width.
+func (id ID) WithPrefix(prefix uint64, n int) ID {
+	keep := ^uint64(0) >> n
+	binary.BigEndian.PutUint64(id.b[:8], id.Prefix64()&keep|prefix&^keep)
+	id.truncate()
+	return id
 }
 
 // Bits returns the identifier width m.
@@ -74,18 +89,16 @@ func (id ID) String() string {
 // CommonPrefixLen returns the number of leading bits shared with other
 // (both truncated to the shorter width).
 func (id ID) CommonPrefixLen(other ID) int {
-	limit := id.m
-	if other.m < limit {
-		limit = other.m
-	}
-	for i := 0; i < limit; i++ {
-		a, _ := id.Bit(i)
-		b, _ := other.Bit(i)
-		if a != b {
-			return i
+	limit := min(id.m, other.m)
+	n := 0
+	for w := 0; n < limit; w += 8 {
+		if x := binary.BigEndian.Uint64(id.b[w:]) ^ binary.BigEndian.Uint64(other.b[w:]); x != 0 {
+			n += bits.LeadingZeros64(x)
+			break
 		}
+		n += 64
 	}
-	return limit
+	return min(n, limit)
 }
 
 // Incarnation returns the paper's incarnation number k = ⌈(t−t0)/L⌉ at

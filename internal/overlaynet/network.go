@@ -335,11 +335,7 @@ func (n *Network) bootstrap() error {
 			if err != nil {
 				return err
 			}
-			forced, err := probeID(l, p.CurrentID)
-			if err != nil {
-				return err
-			}
-			p.CurrentID = forced
+			p.CurrentID = probeID(l, p.CurrentID)
 			if i < n.cfg.Params.C {
 				cl.Core = append(cl.Core, p)
 			} else {

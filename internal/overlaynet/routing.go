@@ -60,11 +60,7 @@ func (n *Network) Lookup(from, key identity.ID) (*LookupResult, error) {
 		// Resolve the ideal neighbor label against the live partition:
 		// the responsible cluster is the one whose label prefixes the
 		// key-corrected identifier.
-		probe, err := probeID(next, key)
-		if err != nil {
-			return nil, err
-		}
-		cur, err = n.findCluster(probe)
+		cur, err = n.findCluster(probeID(next, key))
 		if err != nil {
 			return nil, err
 		}
@@ -76,24 +72,8 @@ func (n *Network) Lookup(from, key identity.ID) (*LookupResult, error) {
 // probeID builds an identifier that starts with label's bits and
 // continues with key's bits, so findCluster resolves the live cluster
 // covering the ideal next-hop region while still converging toward key.
-func probeID(label hypercube.Label, key identity.ID) (identity.ID, error) {
-	var digest [32]byte
-	for i := 0; i < key.Bits(); i++ {
-		bit, err := key.Bit(i)
-		if err != nil {
-			return identity.ID{}, err
-		}
-		if i < label.Length() {
-			bit, err = label.Bit(i)
-			if err != nil {
-				return identity.ID{}, err
-			}
-		}
-		if bit == 1 {
-			digest[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return identity.NewID(digest, key.Bits())
+func probeID(label hypercube.Label, key identity.ID) identity.ID {
+	return key.WithPrefix(label.Prefix64(), label.Length())
 }
 
 // LookupRedundant performs redundant routing (the defense of Castro et

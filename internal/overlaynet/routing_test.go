@@ -3,6 +3,7 @@ package overlaynet
 import (
 	"testing"
 
+	"targetedattacks/internal/hypercube"
 	"targetedattacks/internal/identity"
 )
 
@@ -220,5 +221,24 @@ func TestLookupRedundantValidation(t *testing.T) {
 	}
 	if _, err := n.LookupRedundant(from, from, 0); err == nil {
 		t.Error("redundancy=0: want error")
+	}
+}
+
+func BenchmarkProbeID(b *testing.B) {
+	b.ReportAllocs()
+	label, err := hypercube.LabelFromString("10110011100011110")
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := fastInitialID(7, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink identity.ID
+	for b.Loop() {
+		sink = probeID(label, key)
+	}
+	if !label.Matches(sink) {
+		b.Fatalf("probe %v does not match %v", sink, label)
 	}
 }
