@@ -48,11 +48,11 @@
 //     exact reference; the iterative backends (BiCGSTAB, Gauss–Seidel,
 //     residual-controlled) never materialize a dense matrix, which is
 //     what makes state spaces with thousands of transient states — C=∆
-//     up to 25 and beyond — affordable. Factorizations answer batched
-//     multi-RHS solves (SolveMat/SolveMatLeft), which the sojourn
-//     recursions exploit to issue one batched solve per block per
-//     iteration. Select a backend with NewModelWithSolver or the CLIs'
-//     -solver/-tol flags.
+//     up to 25 and beyond — affordable. A Factorization answers right
+//     and left vector solves, warm-started or cold; the lockstep sojourn
+//     recursions issue one warm-started left solve per vector, each
+//     block's setup (LU factors, sparse transpose) paid once. Select a
+//     backend with NewModelWithSolver or the CLIs' -solver/-tol flags.
 //
 //   - The preconditioner and warm-start layer inside it: as the
 //     identifier-survival probability d → 1 the transient blocks mix
@@ -64,7 +64,7 @@
 //     blocks, falling back stickily to dense LU — with the reason
 //     recorded in Analysis.Solver — if an iterative solve ever fails.
 //     Every Factorization also accepts initial guesses
-//     (SolveVecFrom and variants); markov.Chain records its converged
+//     (SolveVecFrom, SolveVecLeftFrom); markov.Chain records its converged
 //     vectors as a WarmStart so a neighboring parameter cell can seed
 //     its own solves from them. Choosing a solver: "dense" is the exact
 //     LU reference (O(n²) memory — small grids only), "bicgstab" (alias

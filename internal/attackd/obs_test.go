@@ -221,16 +221,32 @@ func TestTimingsSumMatchesHistogram(t *testing.T) {
 		stageSum += ms
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The server observes the request histogram once the handler has
+	// returned, which can be after the client has read the whole body:
+	// re-scrape until the /v1/sweep series appears.
+	scrape := func() map[string]*obs.MetricFamily {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		fams, err := obs.ParseProm(resp.Body)
+		if err != nil {
+			t.Fatalf("parsing /metrics: %v", err)
+		}
+		return fams
 	}
-	defer resp.Body.Close()
-	fams, err := obs.ParseProm(resp.Body)
-	if err != nil {
-		t.Fatalf("parsing /metrics: %v", err)
+	var fams map[string]*obs.MetricFamily
+	var snap obs.HistogramSnapshot
+	var err error
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		fams = scrape()
+		snap, err = obs.ExtractHistogram(fams, "attackd_request_duration_seconds", map[string]string{"endpoint": "/v1/sweep"})
+		if err == nil || time.Now().After(deadline) {
+			break
+		}
 	}
-	snap, err := obs.ExtractHistogram(fams, "attackd_request_duration_seconds", map[string]string{"endpoint": "/v1/sweep"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ type Config struct {
 	// requests that would pin the process; 0 picks DefaultMaxStates.
 	MaxStates int
 	// MaxSojourns bounds the per-request sojourn count (each sojourn
-	// costs one batched block solve and two result slots); 0 picks
+	// costs four left solves and two result slots); 0 picks
 	// DefaultMaxSojourns.
 	MaxSojourns int
 	// MaxSimCells bounds the grid size a single /v1/simsweep request may

@@ -159,7 +159,7 @@ type Analysis struct {
 
 // AnalyzeChain runs every closed-form relation on an assembled chain:
 // expected total times in A and B, the first nSojourns successive
-// sojourn expectations of both subsets (batched lockstep recursion),
+// sojourn expectations of both subsets (lockstep recursion),
 // absorption probabilities per class, and the hit probability of subset
 // B as the complement of a clean all-A absorption. The call sequence and
 // arithmetic are exactly the paper model's historical analysis, so
@@ -173,8 +173,8 @@ func AnalyzeChain(ch *markov.Chain, cleanClasses []string, nSojourns int) (*Anal
 	if err != nil {
 		return nil, fmt.Errorf("chainmodel: E(T_B): %w", err)
 	}
-	// The two sojourn recursions advance in lockstep, batching their
-	// left solves per block.
+	// The two sojourn recursions advance in lockstep, one left solve per
+	// vector.
 	sa, sb, err := ch.SuccessiveSojournsBoth(nSojourns)
 	if err != nil {
 		return nil, fmt.Errorf("chainmodel: sojourns: %w", err)

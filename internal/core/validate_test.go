@@ -51,23 +51,38 @@ func TestValidateStochasticityRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(mutate func(b *matrix.SparseBuilder)) *matrix.CSR {
-		b := matrix.NewSparseBuilder(sp.Size(), sp.Size())
+	// build emits a valid chain row by row; mutate may add entries to
+	// row i before it is sealed.
+	build := func(mutate func(i int, b *matrix.RowBuilder)) *matrix.CSR {
+		b := matrix.NewRowBuilder(sp.Size())
 		for i, st := range sp.States() {
 			if sp.Classify(st).Transient() {
-				_ = b.Add(i, 0, 0.5)
-				_ = b.Add(i, 1, 0.5)
+				_ = b.Add(0, 0.5)
+				_ = b.Add(1, 0.5)
 			} else {
-				_ = b.Add(i, i, 1)
+				_ = b.Add(i, 1)
+			}
+			mutate(i, b)
+			b.EndRow()
+		}
+		m, err := matrix.ConcatRows(sp.Size(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// at adds v at (row, col) when the builder reaches row.
+	at := func(row, col int, v float64) func(int, *matrix.RowBuilder) {
+		return func(i int, b *matrix.RowBuilder) {
+			if i == row {
+				_ = b.Add(col, v)
 			}
 		}
-		mutate(b)
-		return b.Build()
 	}
 	transient := sp.IndicesOf(ClassSafe)[0]
 	absorbing := sp.IndicesOf(ClassSafeMerge)[0]
 
-	ok := build(func(b *matrix.SparseBuilder) {})
+	ok := build(func(int, *matrix.RowBuilder) {})
 	if err := ValidateStochasticity(ok, sp, 0); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
 	}
@@ -78,17 +93,17 @@ func TestValidateStochasticityRejects(t *testing.T) {
 	}{
 		{
 			"leaky transient row",
-			build(func(b *matrix.SparseBuilder) { _ = b.Add(transient, 2, -1e-6) }),
+			build(at(transient, 2, -1e-6)),
 			"probability",
 		},
 		{
 			"row sum off",
-			build(func(b *matrix.SparseBuilder) { _ = b.Add(transient, 2, 1e-9) }),
+			build(at(transient, 2, 1e-9)),
 			"sums to",
 		},
 		{
 			"absorbing row not a self-loop",
-			build(func(b *matrix.SparseBuilder) { _ = b.Add(absorbing, absorbing+1, 1e-3) }),
+			build(at(absorbing, absorbing+1, 1e-3)),
 			"self-loop",
 		},
 	} {
@@ -104,7 +119,13 @@ func TestValidateStochasticityRejects(t *testing.T) {
 	if err := ValidateStochasticity(nil, sp, 0); err == nil {
 		t.Error("nil matrix: want error")
 	}
-	wrong := matrix.NewSparseBuilder(2, 2).Build()
+	empty := matrix.NewRowBuilder(2)
+	empty.EndRow()
+	empty.EndRow()
+	wrong, err := matrix.ConcatRows(2, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ValidateStochasticity(wrong, sp, 0); err == nil {
 		t.Error("wrong shape: want error")
 	}

@@ -6,8 +6,7 @@
 //     (5) and (6)),
 //   - expected durations of the successive sojourns in each transient
 //     subset (Sericola & Rubino, J. Appl. Prob. 1989 — relations (7), (8)),
-//   - absorption probabilities per absorbing class (relation (9)),
-//   - transient distribution evolution.
+//   - absorption probabilities per absorbing class (relation (9)).
 //
 // The chain's transient states are partitioned into two subsets A and B
 // (the paper's safe set S and polluted set P); the remaining states form
@@ -80,8 +79,9 @@ type WarmStart struct {
 	// SojournPrologue seeds the B recursion's first half-step of
 	// SuccessiveSojournsBoth.
 	SojournPrologue []float64
-	// StepsA[i] and StepsB[i] seed the batched left solves of sojourn
-	// recursion step i+1 against I−M_A and I−M_B respectively.
+	// StepsA[i] and StepsB[i] seed the left solves of sojourn recursion
+	// step i+1 against I−M_A and I−M_B respectively, one vector per
+	// solve in issue order.
 	StepsA, StepsB [][][]float64
 	// Clean seeds the (I−M_A)⁻¹ solve of AbsorbedWithinA; length |A|.
 	Clean []float64
@@ -127,8 +127,9 @@ func fit(seed []float64, n int) []float64 {
 	return nil
 }
 
-// fitBatch returns the recorded step-i batch (1-based loop index) if its
-// shape matches the pending batch of n-vectors, else nil.
+// fitBatch returns the recorded step-i guesses (1-based loop index) if
+// their shape matches the pending want solves of n-vectors, else nil:
+// a step is seeded all or nothing.
 func fitBatch(steps [][][]float64, i, want, n int) [][]float64 {
 	if i-1 >= len(steps) || len(steps[i-1]) != want {
 		return nil
@@ -332,13 +333,11 @@ func (c *Chain) visits() ([]float64, error) {
 
 // entryVector computes the paper's v (relation (5)) for subset A:
 // v = αA + αB (I − M_B)⁻¹ M_{BA}, the distribution of the state in A at
-// the instant the chain first visits A (counting a start in A). fb must
-// factor I − M_B. x0 optionally warm-starts the inner left solve, whose
-// solution is returned alongside v for recording.
+// the instant the chain first visits A (counting a start in A). B must
+// be non-empty and fb must factor I − M_B. x0 optionally warm-starts the
+// inner left solve, whose solution is returned alongside v for
+// recording.
 func entryVector(alphaA, alphaB []float64, fb matrix.Factorization, mba *matrix.CSR, x0 []float64) (v, u []float64, err error) {
-	if len(alphaB) == 0 {
-		return append([]float64(nil), alphaA...), nil, nil
-	}
 	u, err = fb.SolveVecLeftFrom(alphaB, fit(x0, len(alphaB)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("markov: solving αB(I−M_B)⁻¹: %w", err)
@@ -382,112 +381,30 @@ func (c *Chain) expectedTotalTime(lo, hi int) (float64, error) {
 	return s, nil
 }
 
-// SuccessiveSojournsInA returns E(T_{A,1}), …, E(T_{A,n}): the expected
-// durations of the first n sojourns of the chain in subset A (paper
-// relation (7), after Sericola & Rubino 1989).
-func (c *Chain) SuccessiveSojournsInA(n int) ([]float64, error) {
-	return c.successiveSojourns(n, false)
-}
-
-// SuccessiveSojournsInB is the subset-B counterpart (paper relation (8)).
-func (c *Chain) SuccessiveSojournsInB(n int) ([]float64, error) {
-	return c.successiveSojourns(n, true)
-}
-
-// successiveSojourns evaluates relation (7) with every matrix power
-// applied as sparse solves and products: out[i] = v Gⁱ u with
-// G = (I−M_A)⁻¹ M_AB (I−M_B)⁻¹ M_BA and u = (I−M_A)⁻¹ 1. swapped selects
-// the subset-B orientation (A and B exchange roles).
-func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("markov: negative sojourn count %d", n)
-	}
-	alphaA, alphaB := c.alphaA, c.alphaB
-	mab, mba := c.mab, c.mba
-	factA, factB := c.factA, c.factB
-	if swapped {
-		alphaA, alphaB = alphaB, alphaA
-		mab, mba = mba, mab
-		factA, factB = factB, factA
-	}
-	out := make([]float64, n)
-	if n == 0 || len(alphaA) == 0 {
-		return out, nil
-	}
-	fa, err := factA()
-	if err != nil {
-		return nil, err
-	}
-	var fb matrix.Factorization
-	if len(alphaB) > 0 {
-		if fb, err = factB(); err != nil {
-			return nil, err
-		}
-	}
-	v, _, err := entryVector(alphaA, alphaB, fb, mba, nil)
-	if err != nil {
-		return nil, err
-	}
-	u, err := fa.SolveVec(matrix.Ones(len(alphaA)))
-	if err != nil {
-		return nil, err
-	}
-	r := v
-	for i := 0; i < n; i++ {
-		e, err := matrix.Dot(r, u)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-		if i+1 == n {
-			break
-		}
-		// Empty B makes G = 0: only the first sojourn exists.
-		if len(alphaB) == 0 {
-			break
-		}
-		// r ← r G, one factor at a time: two sparse left-solves and two
-		// CSR row-vector products instead of a dense G.
-		t1, err := fa.SolveVecLeft(r)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := mab.VecMul(t1)
-		if err != nil {
-			return nil, err
-		}
-		t3, err := fb.SolveVecLeft(t2)
-		if err != nil {
-			return nil, err
-		}
-		if r, err = mba.VecMul(t3); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// SuccessiveSojournsBoth returns the first n expected sojourn durations
-// in A and in B together (relations (7) and (8)). The two recursions are
-// advanced in lockstep: at every step the pending left systems against
-// I−M_A are batched into one SolveMatLeft call, and likewise for I−M_B —
-// one batched solve per block per iteration instead of four vector
-// solves, with each block's setup (LU factors, sparse transpose) paid
-// once per batch. The per-vector arithmetic is unchanged, so the result
-// is bit-identical to the two single-subset recursions.
+// SuccessiveSojournsBoth returns E(T_{A,1}), …, E(T_{A,n}) and
+// E(T_{B,1}), …, E(T_{B,n}): the expected durations of the first n
+// sojourns of the chain in subset A and in subset B (paper relations (7)
+// and (8), after Sericola & Rubino 1989). Relation (7) is
+// E(T_{A,i+1}) = v Gⁱ u with G = (I−M_A)⁻¹ M_AB (I−M_B)⁻¹ M_BA and
+// u = (I−M_A)⁻¹ 1; every matrix power is applied as sparse left solves
+// and CSR row-vector products, never formed. The A and B recursions
+// advance in lockstep: each step issues one warm-started left solve per
+// vector, first the pending systems against I−M_A, then those against
+// I−M_B, so each block's setup (LU factors, sparse transpose) is paid
+// once for the whole recursion.
 func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 	if n < 0 {
 		return nil, nil, fmt.Errorf("markov: negative sojourn count %d", n)
 	}
 	if n == 0 || c.nA == 0 || c.nB == 0 {
-		// One subset is empty (its sojourns are all zero and the other
-		// recursion terminates after one term): the single-subset paths
-		// already special-case this without any cross-block work.
-		a, err := c.successiveSojourns(n, false)
+		// With a subset empty, G = 0: the other subset has one sojourn,
+		// its entry vector is its initial mass, and no cross-block work
+		// is needed.
+		a, err := firstSojourn(n, c.alphaA, c.factA)
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := c.successiveSojourns(n, true)
+		b, err := firstSojourn(n, c.alphaB, c.factB)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -542,7 +459,7 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 	}
 	// Pipeline prologue: the B recursion's first half-step (its fb solve)
 	// runs once on its own; from then on every fb solve of the B
-	// recursion rides in the same batch as the A recursion's.
+	// recursion is issued next to the A recursion's.
 	sB, err := fb.SolveVecLeftFrom(rB, fit(ws.SojournPrologue, c.nB))
 	if err != nil {
 		return nil, nil, err
@@ -555,9 +472,9 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 	c.rec.StepsA = make([][][]float64, 0, n-1)
 	c.rec.StepsB = make([][][]float64, 0, n-1)
 	for i := 1; i < n; i++ {
-		// One batched solve against I−M_A: rA's step and the B
-		// recursion's second half-step.
-		xs, err := fa.SolveMatLeftFrom([][]float64{rA, pB}, fitBatch(ws.StepsA, i, 2, c.nA))
+		// Against I−M_A: rA's step and the B recursion's second
+		// half-step.
+		xs, err := solveLeftEach(fa, [][]float64{rA, pB}, fitBatch(ws.StepsA, i, 2, c.nA))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -572,13 +489,13 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 		if outB[i], err = matrix.Dot(rB, uB); err != nil {
 			return nil, nil, err
 		}
-		// One batched solve against I−M_B: the A step's second half,
-		// prefetching the B recursion's next first half alongside.
+		// Against I−M_B: the A step's second half, prefetching the B
+		// recursion's next first half alongside.
 		rhs := [][]float64{qA}
 		if i+1 < n {
 			rhs = append(rhs, rB)
 		}
-		ys, err := fb.SolveMatLeftFrom(rhs, fitBatch(ws.StepsB, i, len(rhs), c.nB))
+		ys, err := solveLeftEach(fb, rhs, fitBatch(ws.StepsB, i, len(rhs), c.nB))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -596,6 +513,47 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 		}
 	}
 	return outA, outB, nil
+}
+
+// firstSojourn answers relation (7) for a subset whose complement is
+// empty: only the first sojourn exists, E(T_1) = α (I−M)⁻¹ 1 with fact
+// factoring I − M; the rest of the n terms are zero.
+func firstSojourn(n int, alpha []float64, fact func() (matrix.Factorization, error)) ([]float64, error) {
+	out := make([]float64, n)
+	if n == 0 || len(alpha) == 0 {
+		return out, nil
+	}
+	f, err := fact()
+	if err != nil {
+		return nil, err
+	}
+	u, err := f.SolveVec(matrix.Ones(len(alpha)))
+	if err != nil {
+		return nil, err
+	}
+	if out[0], err = matrix.Dot(alpha, u); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// solveLeftEach answers x_j (I − M) = bs[j] for every j with one
+// left solve per vector, in order; guesses is nil (all cold) or holds
+// one warm-start guess per vector.
+func solveLeftEach(f matrix.Factorization, bs, guesses [][]float64) ([][]float64, error) {
+	xs := make([][]float64, len(bs))
+	for j, b := range bs {
+		var x0 []float64
+		if guesses != nil {
+			x0 = guesses[j]
+		}
+		x, err := f.SolveVecLeftFrom(b, x0)
+		if err != nil {
+			return nil, err
+		}
+		xs[j] = x
+	}
+	return xs, nil
 }
 
 // AbsorptionProbabilities returns, for every absorbing class, the
@@ -621,52 +579,12 @@ func (c *Chain) AbsorptionProbabilities() (map[string]float64, error) {
 	return out, nil
 }
 
-// HitProbabilityA returns the probability that the chain ever visits
-// subset A before absorption (counting a start inside A): the total mass
-// of the entry vector v of relation (5).
-func (c *Chain) HitProbabilityA() (float64, error) {
-	if c.nA == 0 {
-		return 0, nil
-	}
-	var fb matrix.Factorization
-	if c.nB > 0 {
-		var err error
-		if fb, err = c.factB(); err != nil {
-			return 0, err
-		}
-	}
-	v, _, err := entryVector(c.alphaA, c.alphaB, fb, c.mba, nil)
-	if err != nil {
-		return 0, err
-	}
-	return matrix.VecSum(v), nil
-}
-
-// HitProbabilityB is the subset-B counterpart of HitProbabilityA.
-func (c *Chain) HitProbabilityB() (float64, error) {
-	if c.nB == 0 {
-		return 0, nil
-	}
-	var fa matrix.Factorization
-	if c.nA > 0 {
-		var err error
-		if fa, err = c.factA(); err != nil {
-			return 0, err
-		}
-	}
-	w, _, err := entryVector(c.alphaB, c.alphaA, fa, c.mab, nil)
-	if err != nil {
-		return 0, err
-	}
-	return matrix.VecSum(w), nil
-}
-
 // AbsorbedWithinA returns the probability that the chain reaches one of
 // the named absorbing classes along a path that never leaves subset A:
 // α_A (I − M_A)⁻¹ R^A 1, with R^A the rows of the class blocks
 // corresponding to subset A. Initial mass on subset B contributes
-// nothing. Together with HitProbabilityB this separates "dies clean"
-// from "was ever dirty": P(ever in B ∪ other classes) = 1 − AbsorbedWithinA(safe classes).
+// nothing. It separates "dies clean" from "was ever dirty":
+// P(ever in B ∪ other classes) = 1 − AbsorbedWithinA(clean classes).
 func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
 	if c.nA == 0 {
 		return 0, nil
@@ -696,25 +614,3 @@ func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
 	c.rec.Clean = z
 	return matrix.Dot(c.alphaA, z)
 }
-
-// ExpectedTotalTransientTime returns E(T_A) + E(T_B): the expected number
-// of transitions before absorption.
-func (c *Chain) ExpectedTotalTransientTime() (float64, error) {
-	a, err := c.ExpectedTotalTimeInA()
-	if err != nil {
-		return 0, err
-	}
-	b, err := c.ExpectedTotalTimeInB()
-	if err != nil {
-		return 0, err
-	}
-	return a + b, nil
-}
-
-// Classes returns the absorbing class names in their fixed order.
-func (c *Chain) Classes() []string {
-	return append([]string(nil), c.classes...)
-}
-
-// TransientSizes returns (|A|, |B|).
-func (c *Chain) TransientSizes() (int, int) { return c.nA, c.nB }

@@ -1,6 +1,8 @@
 package markov
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +10,46 @@ import (
 
 	"targetedattacks/internal/matrix"
 )
+
+// sparseBuilder collects (i, j, v) entries in any order and assembles
+// them row by row through matrix.RowBuilder, each row's entries in the
+// order they were added.
+type sparseBuilder struct {
+	rows [][]rowEntry
+	cols int
+}
+
+type rowEntry struct {
+	j int
+	v float64
+}
+
+func newSparseBuilder(rows, cols int) *sparseBuilder {
+	return &sparseBuilder{rows: make([][]rowEntry, rows), cols: cols}
+}
+
+func (b *sparseBuilder) Add(i, j int, v float64) error {
+	if i < 0 || i >= len(b.rows) || j < 0 || j >= b.cols {
+		return fmt.Errorf("entry (%d,%d) out of bounds for %dx%d", i, j, len(b.rows), b.cols)
+	}
+	b.rows[i] = append(b.rows[i], rowEntry{j, v})
+	return nil
+}
+
+func (b *sparseBuilder) Build() *matrix.CSR {
+	rb := matrix.NewRowBuilder(b.cols)
+	for _, row := range b.rows {
+		for _, e := range row {
+			_ = rb.Add(e.j, e.v)
+		}
+		rb.EndRow()
+	}
+	m, err := matrix.ConcatRows(b.cols, rb)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // twoStateChain is a hand-solvable chain: transient a (subset A) and b
 // (subset B), absorbing classes one = {2}, two = {3}.
@@ -21,7 +63,7 @@ import (
 // E(T_{B,1}) = 0.375/0.9, same ratio 1/6.
 func twoStateChain(t *testing.T) *Chain {
 	t.Helper()
-	b := matrix.NewSparseBuilder(4, 4)
+	b := newSparseBuilder(4, 4)
 	add := func(i, j int, v float64) {
 		t.Helper()
 		if err := b.Add(i, j, v); err != nil {
@@ -50,6 +92,91 @@ func twoStateChain(t *testing.T) *Chain {
 	return c
 }
 
+// SuccessiveSojournsInA is the single-subset form of relation (7): the
+// A recursion on its own, one vector solve at a time. It is the oracle
+// SuccessiveSojournsBoth's lockstep recursion must match bit for bit.
+func (c *Chain) SuccessiveSojournsInA(n int) ([]float64, error) {
+	return c.successiveSojourns(n, false)
+}
+
+// SuccessiveSojournsInB is the subset-B oracle (relation (8)).
+func (c *Chain) SuccessiveSojournsInB(n int) ([]float64, error) {
+	return c.successiveSojourns(n, true)
+}
+
+// successiveSojourns evaluates relation (7) with every matrix power
+// applied as sparse solves and products: out[i] = v Gⁱ u with
+// G = (I−M_A)⁻¹ M_AB (I−M_B)⁻¹ M_BA and u = (I−M_A)⁻¹ 1. swapped selects
+// the subset-B orientation (A and B exchange roles).
+func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("markov: negative sojourn count %d", n)
+	}
+	alphaA, alphaB := c.alphaA, c.alphaB
+	mab, mba := c.mab, c.mba
+	factA, factB := c.factA, c.factB
+	if swapped {
+		alphaA, alphaB = alphaB, alphaA
+		mab, mba = mba, mab
+		factA, factB = factB, factA
+	}
+	out := make([]float64, n)
+	if n == 0 || len(alphaA) == 0 {
+		return out, nil
+	}
+	fa, err := factA()
+	if err != nil {
+		return nil, err
+	}
+	v := append([]float64(nil), alphaA...)
+	var fb matrix.Factorization
+	if len(alphaB) > 0 {
+		if fb, err = factB(); err != nil {
+			return nil, err
+		}
+		if v, _, err = entryVector(alphaA, alphaB, fb, mba, nil); err != nil {
+			return nil, err
+		}
+	}
+	u, err := fa.SolveVec(matrix.Ones(len(alphaA)))
+	if err != nil {
+		return nil, err
+	}
+	r := v
+	for i := 0; i < n; i++ {
+		e, err := matrix.Dot(r, u)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+		if i+1 == n {
+			break
+		}
+		// Empty B makes G = 0: only the first sojourn exists.
+		if len(alphaB) == 0 {
+			break
+		}
+		// r ← r G, one factor at a time: two sparse left-solves and two
+		// CSR row-vector products instead of a dense G.
+		t1, err := fa.SolveVecLeft(r)
+		if err != nil {
+			return nil, err
+		}
+		t2, err := mab.VecMul(t1)
+		if err != nil {
+			return nil, err
+		}
+		t3, err := fb.SolveVecLeft(t2)
+		if err != nil {
+			return nil, err
+		}
+		if r, err = mba.VecMul(t3); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func TestTwoStateExpectedTimes(t *testing.T) {
 	c := twoStateChain(t)
 	ea, err := c.ExpectedTotalTimeInA()
@@ -66,12 +193,8 @@ func TestTwoStateExpectedTimes(t *testing.T) {
 	if math.Abs(eb-0.5) > 1e-12 {
 		t.Errorf("E(T_B) = %v, want 0.5", eb)
 	}
-	tot, err := c.ExpectedTotalTransientTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tot-2.0) > 1e-12 {
-		t.Errorf("E(T) = %v, want 2", tot)
+	if math.Abs(ea+eb-2.0) > 1e-12 {
+		t.Errorf("E(T) = %v, want 2", ea+eb)
 	}
 }
 
@@ -91,7 +214,7 @@ func TestTwoStateAbsorption(t *testing.T) {
 
 func TestTwoStateSuccessiveSojourns(t *testing.T) {
 	c := twoStateChain(t)
-	sa, err := c.SuccessiveSojournsInA(4)
+	sa, sb, err := c.SuccessiveSojournsBoth(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +223,6 @@ func TestTwoStateSuccessiveSojourns(t *testing.T) {
 		if math.Abs(sa[i]-wantA[i]) > 1e-12 {
 			t.Errorf("E(T_A,%d) = %v, want %v", i+1, sa[i], wantA[i])
 		}
-	}
-	sb, err := c.SuccessiveSojournsInB(2)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if math.Abs(sb[0]-0.375/0.9) > 1e-12 {
 		t.Errorf("E(T_B,1) = %v, want %v", sb[0], 0.375/0.9)
@@ -124,12 +243,16 @@ func TestTwoStateSuccessiveSojourns(t *testing.T) {
 
 func TestSojournEdgeCases(t *testing.T) {
 	c := twoStateChain(t)
-	if _, err := c.SuccessiveSojournsInA(-1); err == nil {
+	if _, _, err := c.SuccessiveSojournsBoth(-1); err == nil {
 		t.Error("negative n: want error")
 	}
-	z, err := c.SuccessiveSojournsInA(0)
-	if err != nil || len(z) != 0 {
-		t.Errorf("n=0: got %v, %v", z, err)
+	za, zb, err := c.SuccessiveSojournsBoth(0)
+	if err != nil || len(za) != 0 || len(zb) != 0 {
+		t.Errorf("n=0: got %v, %v, %v", za, zb, err)
+	}
+	// n = 0 needs no solve: nothing is factored.
+	if st := c.SolveStats(); c.fa != nil || c.fb != nil || st.Backend != "dense" {
+		t.Errorf("n=0 factored a block: %+v", st)
 	}
 }
 
@@ -137,7 +260,7 @@ func TestSojournEdgeCases(t *testing.T) {
 // barriers; all interior states are subset A, subset B is empty.
 func gamblersRuin(t *testing.T, n, start int) *Chain {
 	t.Helper()
-	b := matrix.NewSparseBuilder(n+1, n+1)
+	b := newSparseBuilder(n+1, n+1)
 	for i := 1; i < n; i++ {
 		if err := b.Add(i, i-1, 0.5); err != nil {
 			t.Fatal(err)
@@ -205,7 +328,7 @@ func TestGamblersRuinSojournIsTotal(t *testing.T) {
 	// With empty B there is a single sojourn in A: E(T_{A,1}) = E(T_A) and
 	// all later sojourns are zero.
 	c := gamblersRuin(t, 7, 3)
-	s, err := c.SuccessiveSojournsInA(3)
+	s, sb, err := c.SuccessiveSojournsBoth(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +338,13 @@ func TestGamblersRuinSojournIsTotal(t *testing.T) {
 	if s[1] != 0 || s[2] != 0 {
 		t.Errorf("later sojourns = %v, want zeros", s[1:])
 	}
+	if len(sb) != 3 || sb[0] != 0 || sb[1] != 0 || sb[2] != 0 {
+		t.Errorf("sojourns in the empty subset = %v, want zeros", sb)
+	}
 }
 
 func TestSpecValidation(t *testing.T) {
-	b := matrix.NewSparseBuilder(2, 2)
+	b := newSparseBuilder(2, 2)
 	_ = b.Add(0, 1, 1)
 	_ = b.Add(1, 1, 1)
 	full := b.Build()
@@ -265,7 +391,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestNonSquareRejected(t *testing.T) {
-	b := matrix.NewSparseBuilder(2, 3)
+	b := newSparseBuilder(2, 3)
 	if _, err := NewChain(Spec{Full: b.Build(), Alpha: []float64{1, 0}}); err == nil {
 		t.Error("non-square matrix: want error")
 	}
@@ -282,7 +408,7 @@ func TestRandomChainInvariants(t *testing.T) {
 		nB := r.Intn(4)
 		nT := nA + nB
 		n := nT + 2 // two absorbing states
-		b := matrix.NewSparseBuilder(n, n)
+		b := newSparseBuilder(n, n)
 		for i := 0; i < nT; i++ {
 			// Random transition row with at least 0.05 leak to absorbing.
 			weights := make([]float64, n)
@@ -349,7 +475,7 @@ func TestRandomChainInvariants(t *testing.T) {
 			return false
 		}
 		// Sojourn series partial sums stay below the totals.
-		sa, err := c.SuccessiveSojournsInA(64)
+		sa, _, err := c.SuccessiveSojournsBoth(64)
 		if err != nil {
 			return false
 		}
@@ -367,49 +493,55 @@ func TestRandomChainInvariants(t *testing.T) {
 	}
 }
 
+// TestHitProbabilities: the probability of ever entering B is the
+// complement of dying in a clean class along an all-A path.
 func TestHitProbabilities(t *testing.T) {
 	c := twoStateChain(t)
-	// Start in A: A is hit with probability 1.
-	pa, err := c.HitProbabilityA()
+	// From a, the chain dies in "one" before moving to b with probability
+	// 0.5/(1−0.2) = 0.625, so B is hit with probability 0.375.
+	clean, err := c.AbsorbedWithinA("one")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(pa-1) > 1e-12 {
-		t.Errorf("P(hit A) = %v, want 1 (start in A)", pa)
+	if math.Abs(1-clean-0.375) > 1e-12 {
+		t.Errorf("P(hit B) = %v, want 0.375", 1-clean)
 	}
-	// B is hit iff the chain moves a→b before absorbing; from a the
-	// chance per step is 0.3 vs 0.5 absorption and 0.2 self-loop:
-	// p = 0.3/(1−0.2) = 0.375.
-	pb, err := c.HitProbabilityB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pb-0.375) > 1e-12 {
-		t.Errorf("P(hit B) = %v, want 0.375", pb)
+	if _, err := c.AbsorbedWithinA("nope"); err == nil {
+		t.Error("unknown class: want error")
 	}
 }
 
 func TestHitProbabilityEmptySubset(t *testing.T) {
 	c := gamblersRuin(t, 5, 2)
-	pb, err := c.HitProbabilityB()
-	if err != nil || pb != 0 {
-		t.Errorf("P(hit ∅) = %v err %v, want 0", pb, err)
-	}
-	pa, err := c.HitProbabilityA()
-	if err != nil || math.Abs(pa-1) > 1e-12 {
-		t.Errorf("P(hit A) = %v err %v, want 1", pa, err)
+	// B is empty: every path to absorption stays in A.
+	clean, err := c.AbsorbedWithinA("ruin", "win")
+	if err != nil || math.Abs(clean-1) > 1e-12 {
+		t.Errorf("P(absorbed within A) = %v err %v, want 1", clean, err)
 	}
 }
 
+// TestClassesAndSizes: the absorption map covers exactly the declared
+// classes, and the recorded warm-start vectors have the subset sizes.
 func TestClassesAndSizes(t *testing.T) {
-	c := twoStateChain(t)
-	cls := c.Classes()
-	if len(cls) != 2 || cls[0] != "one" || cls[1] != "two" {
-		t.Errorf("Classes = %v", cls)
+	c := gamblersRuin(t, 6, 2)
+	p, err := c.AbsorptionProbabilities()
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := c.TransientSizes()
-	if a != 1 || b != 1 {
-		t.Errorf("TransientSizes = %d,%d", a, b)
+	if _, ok := p["ruin"]; !ok || len(p) != 2 {
+		t.Errorf("absorption classes = %v, want ruin and win", p)
+	}
+	c = twoStateChain(t)
+	if _, _, err := c.SuccessiveSojournsBoth(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AbsorptionProbabilities(); err != nil {
+		t.Fatal(err)
+	}
+	ws := c.RecordedWarmStart()
+	if len(ws.Visits) != 2 || len(ws.UA) != 1 || len(ws.UB) != 1 || len(ws.EntryA) != 1 || len(ws.EntryB) != 1 {
+		t.Errorf("recorded sizes: visits %d, u (%d, %d), entry (%d, %d); want 2, (1, 1), (1, 1)",
+			len(ws.Visits), len(ws.UA), len(ws.UB), len(ws.EntryA), len(ws.EntryB))
 	}
 }
 
@@ -421,11 +553,12 @@ func TestChainAcrossSolverBackends(t *testing.T) {
 		matrix.DenseSolver{},
 		matrix.GaussSeidelSolver{},
 		matrix.BiCGSTABSolver{},
+		matrix.ILUSolver{},
 		matrix.AutoSolver{},
 	}
 	for _, s := range solvers {
 		t.Run(s.Name(), func(t *testing.T) {
-			b := matrix.NewSparseBuilder(4, 4)
+			b := newSparseBuilder(4, 4)
 			for _, e := range []struct {
 				i, j int
 				v    float64
@@ -460,8 +593,7 @@ func TestChainAcrossSolverBackends(t *testing.T) {
 			}{
 				{"E(T_A)", c.ExpectedTotalTimeInA, 1.5},
 				{"E(T_B)", c.ExpectedTotalTimeInB, 0.5},
-				{"P(hit A)", c.HitProbabilityA, 1},
-				{"P(hit B)", c.HitProbabilityB, 0.375},
+				{"P(clean in A)", func() (float64, error) { return c.AbsorbedWithinA("one") }, 0.625},
 			}
 			for _, chk := range checks {
 				v, err := chk.got()
@@ -479,7 +611,7 @@ func TestChainAcrossSolverBackends(t *testing.T) {
 			if math.Abs(p["one"]-0.75) > 1e-9 || math.Abs(p["two"]-0.25) > 1e-9 {
 				t.Errorf("absorption = %v, want one=0.75 two=0.25", p)
 			}
-			sa, err := c.SuccessiveSojournsInA(3)
+			sa, sb, err := c.SuccessiveSojournsBoth(3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,6 +619,9 @@ func TestChainAcrossSolverBackends(t *testing.T) {
 			for i := range wantA {
 				if math.Abs(sa[i]-wantA[i]) > 1e-9 {
 					t.Errorf("E(T_A,%d) = %v, want %v", i+1, sa[i], wantA[i])
+				}
+				if wantB := 0.375 / 0.9 / math.Pow(6, float64(i)); math.Abs(sb[i]-wantB) > 1e-9 {
+					t.Errorf("E(T_B,%d) = %v, want %v", i+1, sb[i], wantB)
 				}
 			}
 		})
@@ -502,12 +637,12 @@ func TestDefaultSolverIsDense(t *testing.T) {
 	}
 }
 
-// TestSuccessiveSojournsBothMatchesSingle pins the lockstep batching of
-// the A and B sojourn recursions: SuccessiveSojournsBoth runs the exact
-// per-vector arithmetic of the two single-subset recursions through
-// batched SolveMatLeft calls, so its outputs must be bit-identical to
-// SuccessiveSojournsInA / SuccessiveSojournsInB — on the analytic
-// two-state chain, on random chains, and across solver backends.
+// TestSuccessiveSojournsBothMatchesSingle pins the lockstep A and B
+// sojourn recursions: SuccessiveSojournsBoth runs the exact per-vector
+// arithmetic of the two single-subset recursions, interleaved, so its
+// outputs must be bit-identical to the SuccessiveSojournsInA /
+// SuccessiveSojournsInB oracles — on random chains, with an empty
+// subset, and across solver backends.
 func TestSuccessiveSojournsBothMatchesSingle(t *testing.T) {
 	solvers := []matrix.Solver{nil, matrix.GaussSeidelSolver{}, matrix.BiCGSTABSolver{}}
 	r := rand.New(rand.NewSource(77))
@@ -516,7 +651,7 @@ func TestSuccessiveSojournsBothMatchesSingle(t *testing.T) {
 		nB := 1 + r.Intn(4)
 		nT := nA + nB
 		n := nT + 1
-		b := matrix.NewSparseBuilder(n, n)
+		b := newSparseBuilder(n, n)
 		for i := 0; i < nT; i++ {
 			weights := make([]float64, nT)
 			var sum float64
@@ -587,6 +722,26 @@ func TestSuccessiveSojournsBothMatchesSingle(t *testing.T) {
 			}
 		}
 	}
+	// An empty subset takes the short path; it must agree too.
+	for _, solver := range solvers {
+		c := gamblersRuin(t, 7, 3)
+		c.solver = solver
+		if solver == nil {
+			c.solver = matrix.DenseSolver{}
+		}
+		bothA, bothB, err := c.SuccessiveSojournsBoth(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa, _ := c.SuccessiveSojournsInA(4)
+		sb, _ := c.SuccessiveSojournsInB(4)
+		for i := range sa {
+			if bothA[i] != sa[i] || bothB[i] != sb[i] {
+				t.Errorf("empty B, %s, term %d: Both = (%v, %v), single = (%v, %v)",
+					c.SolverName(), i, bothA[i], bothB[i], sa[i], sb[i])
+			}
+		}
+	}
 	// Degenerate inputs mirror the single-subset semantics.
 	c := twoStateChain(t)
 	if _, _, err := c.SuccessiveSojournsBoth(-1); err == nil {
@@ -595,5 +750,45 @@ func TestSuccessiveSojournsBothMatchesSingle(t *testing.T) {
 	za, zb, err := c.SuccessiveSojournsBoth(0)
 	if err != nil || len(za) != 0 || len(zb) != 0 {
 		t.Errorf("zero count: got (%v, %v, %v)", za, zb, err)
+	}
+}
+
+// failingSolver factors with the dense backend but fails every left
+// solve after the first okLeft on each factorization, as an exhausted
+// iterative budget would.
+type failingSolver struct{ okLeft int }
+
+func (failingSolver) Name() string { return "failing" }
+
+func (s failingSolver) Factor(m *matrix.CSR) (matrix.Factorization, error) {
+	f, err := matrix.DenseSolver{}.Factor(m)
+	return &failingFactorization{Factorization: f, okLeft: s.okLeft}, err
+}
+
+type failingFactorization struct {
+	matrix.Factorization
+	okLeft int
+}
+
+func (f *failingFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
+	if f.okLeft == 0 {
+		return nil, &matrix.ConvergenceError{Method: "test", N: len(b)}
+	}
+	f.okLeft--
+	return f.Factorization.SolveVecLeftFrom(b, x0)
+}
+
+// TestSojournStepFailureIsNoConvergence: a solve that fails inside the
+// lockstep recursion surfaces as matrix.ErrNoConvergence, which the
+// serving layer maps to its HTTP status.
+func TestSojournStepFailureIsNoConvergence(t *testing.T) {
+	c := twoStateChain(t)
+	// Two left solves per block succeed (the entry vector and the
+	// prologue on I−M_B, the entry vector and rA's first step on I−M_A),
+	// so the first failure is the B recursion's half-step on I−M_A.
+	c.solver = failingSolver{okLeft: 2}
+	_, _, err := c.SuccessiveSojournsBoth(3)
+	if !errors.Is(err, matrix.ErrNoConvergence) {
+		t.Fatalf("err = %v, want matrix.ErrNoConvergence", err)
 	}
 }

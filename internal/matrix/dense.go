@@ -1,18 +1,17 @@
-// Package matrix provides the dense and sparse linear-algebra kernels used
-// by the Markov-chain analytics in this repository: matrix/vector products,
-// LU factorization with partial pivoting, linear-system solves with one or
-// many right-hand sides, and iterated row-vector/matrix products for
-// transient distributions.
+// Package matrix provides the sparse and dense linear-algebra kernels used
+// by the Markov-chain analytics in this repository: CSR construction,
+// products and block extraction, and the pluggable solvers of systems
+// with I − M (solver.go) — dense LU with partial pivoting, and sparse
+// residual-controlled iterations for large state spaces.
 //
-// The matrices arising from the DSN 2011 targeted-attack model are small
-// (hundreds of states) but can be extremely ill-conditioned when the
-// identifier-survival probability d approaches 1, so all solves use partial
-// pivoting and the package exposes residual-based accuracy checks.
+// The matrices arising from the DSN 2011 targeted-attack model can be
+// extremely ill-conditioned when the identifier-survival probability d
+// approaches 1, so the dense solves use partial pivoting and every
+// iterative solve stops on its true residual.
 package matrix
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -31,23 +30,6 @@ func NewDense(rows, cols int) *Dense {
 		panic(fmt.Sprintf("matrix: NewDense with negative dimension %dx%d", rows, cols))
 	}
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewDenseFromRows builds a matrix from row slices. All rows must have equal
-// length. The data is copied.
-func NewDenseFromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("matrix: ragged rows: row 0 has %d cols, row %d has %d", cols, i, len(r))
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
 }
 
 // Identity returns the n x n identity matrix.
@@ -96,149 +78,12 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("matrix: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns the backing slice of row i. Mutations are visible in m.
 func (m *Dense) RowView(i int) []float64 {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("matrix: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Mul returns the matrix product m * b.
-func (m *Dense) Mul(b *Dense) (*Dense, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("matrix: dimension mismatch for Mul: %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*b.cols : (i+1)*b.cols]
-		for p, mv := range mi {
-			if mv == 0 {
-				continue
-			}
-			bp := b.data[p*b.cols : (p+1)*b.cols]
-			for j, bv := range bp {
-				oi[j] += mv * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// Sub returns m - b element-wise.
-func (m *Dense) Sub(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("matrix: dimension mismatch for Sub: %dx%d - %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewDense(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - b.data[i]
-	}
-	return out, nil
-}
-
-// AddM returns m + b element-wise.
-func (m *Dense) AddM(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("matrix: dimension mismatch for AddM: %dx%d + %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewDense(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns a*m.
-func (m *Dense) Scale(a float64) *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = a * m.data[i]
-	}
-	return out
-}
-
-// Transpose returns the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// MulVec returns the column vector m * v.
-func (m *Dense) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("matrix: dimension mismatch for MulVec: %dx%d * len %d", m.rows, m.cols, len(v))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var sum float64
-		for j, rv := range row {
-			sum += rv * v[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
-// VecMul returns the row vector v * m.
-func (m *Dense) VecMul(v []float64) ([]float64, error) {
-	if m.rows != len(v) {
-		return nil, fmt.Errorf("matrix: dimension mismatch for VecMul: len %d * %dx%d", len(v), m.rows, m.cols)
-	}
-	out := make([]float64, m.cols)
-	for i, vv := range v {
-		if vv == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, rv := range row {
-			out[j] += vv * rv
-		}
-	}
-	return out, nil
-}
-
-// MaxAbs returns the largest absolute value of any element, 0 for empty
-// matrices.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// Equalish reports whether m and b have the same shape and all elements
-// within tol of each other.
-func (m *Dense) Equalish(b *Dense, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging; large matrices are elided.
@@ -261,26 +106,6 @@ func (m *Dense) String() string {
 	return b.String()
 }
 
-// SubMatrix extracts the sub-matrix with the given row and column index
-// sets, in order. Index sets may repeat or reorder indices.
-func (m *Dense) SubMatrix(rowIdx, colIdx []int) (*Dense, error) {
-	out := NewDense(len(rowIdx), len(colIdx))
-	for i, ri := range rowIdx {
-		if ri < 0 || ri >= m.rows {
-			return nil, fmt.Errorf("matrix: SubMatrix row index %d out of bounds for %d rows", ri, m.rows)
-		}
-		src := m.data[ri*m.cols : (ri+1)*m.cols]
-		dst := out.data[i*out.cols : (i+1)*out.cols]
-		for j, cj := range colIdx {
-			if cj < 0 || cj >= m.cols {
-				return nil, fmt.Errorf("matrix: SubMatrix col index %d out of bounds for %d cols", cj, m.cols)
-			}
-			dst[j] = src[cj]
-		}
-	}
-	return out, nil
-}
-
 // Ones returns a column vector of n ones.
 func Ones(n int) []float64 {
 	v := make([]float64, n)
@@ -300,15 +125,6 @@ func Dot(a, b []float64) (float64, error) {
 		s += a[i] * b[i]
 	}
 	return s, nil
-}
-
-// VecSum returns the sum of the entries of v.
-func VecSum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // VecAdd returns a + b element-wise.

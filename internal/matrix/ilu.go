@@ -202,8 +202,6 @@ type iluFactorization struct {
 	iters   int64
 }
 
-func (f *iluFactorization) Order() int { return f.m.Rows() }
-
 // solve runs ILU(0)-preconditioned BiCGSTAB on a (M for right systems,
 // Mᵀ for left ones) with the matching preconditioner orientation.
 func (f *iluFactorization) solve(b, x0 []float64, a *CSR, precond func(r, z []float64)) ([]float64, error) {
@@ -249,24 +247,6 @@ func (f *iluFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) 
 		f.mT = f.m.Transpose()
 	}
 	return f.solve(b, x0, f.mT, f.lu.applyTransposed)
-}
-
-func (f *iluFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *iluFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *iluFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *iluFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *iluFactorization) Stats() SolveStats {

@@ -228,9 +228,6 @@ func TestWarmStartRejectsWrongLength(t *testing.T) {
 		if _, err := f.SolveVecLeftFrom(Ones(10), Ones(11)); err == nil {
 			t.Errorf("%s: SolveVecLeftFrom accepted a length-11 guess for order 10", s.Name())
 		}
-		if _, err := f.SolveMatFrom([][]float64{Ones(10)}, [][]float64{Ones(9), Ones(9)}); err == nil {
-			t.Errorf("%s: SolveMatFrom accepted 2 guesses for 1 rhs", s.Name())
-		}
 	}
 }
 

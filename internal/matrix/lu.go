@@ -14,7 +14,6 @@ var ErrSingular = errors.New("matrix: singular matrix")
 type LU struct {
 	lu    *Dense // packed L (unit diagonal, below) and U (on/above diagonal)
 	pivot []int  // row permutation
-	signD float64
 	n     int
 }
 
@@ -25,7 +24,7 @@ func FactorLU(a *Dense) (*LU, error) {
 		return nil, fmt.Errorf("matrix: FactorLU requires a square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
 	n := a.Rows()
-	f := &LU{lu: a.Clone(), pivot: make([]int, n), signD: 1, n: n}
+	f := &LU{lu: a.Clone(), pivot: make([]int, n), n: n}
 	for i := range f.pivot {
 		f.pivot[i] = i
 	}
@@ -45,7 +44,6 @@ func FactorLU(a *Dense) (*LU, error) {
 		if p != col {
 			f.swapRows(p, col)
 			f.pivot[p], f.pivot[col] = f.pivot[col], f.pivot[p]
-			f.signD = -f.signD
 		}
 		// Eliminate below.
 		piv := lu.At(col, col)
@@ -71,15 +69,6 @@ func (f *LU) swapRows(i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.signD
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveVec solves A x = b for a single right-hand side.
@@ -144,74 +133,4 @@ func (f *LU) SolveVecTransposed(b []float64) ([]float64, error) {
 		x[f.pivot[i]] = y[i]
 	}
 	return x, nil
-}
-
-// Solve solves A X = B with one column of X per column of B.
-func (f *LU) Solve(b *Dense) (*Dense, error) {
-	if b.Rows() != f.n {
-		return nil, fmt.Errorf("matrix: Solve rhs has %d rows, want %d", b.Rows(), f.n)
-	}
-	out := NewDense(f.n, b.Cols())
-	col := make([]float64, f.n)
-	for j := 0; j < b.Cols(); j++ {
-		for i := 0; i < f.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := f.SolveVec(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < f.n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
-// Solve solves A X = B, factorizing A internally.
-func Solve(a, b *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// SolveVec solves A x = b, factorizing A internally.
-func SolveVec(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
-// SolveVecLeft solves the row-vector system x A = b, i.e. Aᵀ xᵀ = bᵀ.
-func SolveVecLeft(a *Dense, b []float64) ([]float64, error) {
-	return SolveVec(a.Transpose(), b)
-}
-
-// Inverse returns A⁻¹ via the LU factorization. Prefer the Solve variants
-// when only a product with the inverse is needed.
-func Inverse(a *Dense) (*Dense, error) {
-	return Solve(a, Identity(a.Rows()))
-}
-
-// Residual returns max_i |(A x - b)_i|, a cheap a-posteriori accuracy check
-// for solves against ill-conditioned matrices.
-func Residual(a *Dense, x, b []float64) (float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != len(ax) {
-		return 0, fmt.Errorf("matrix: Residual rhs length %d does not match %d", len(b), len(ax))
-	}
-	var mx float64
-	for i := range ax {
-		if r := math.Abs(ax[i] - b[i]); r > mx {
-			mx = r
-		}
-	}
-	return mx, nil
 }

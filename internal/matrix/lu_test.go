@@ -14,7 +14,7 @@ func TestFactorLUKnownSolve(t *testing.T) {
 		{4, -6, 0},
 		{-2, 7, 2},
 	})
-	x, err := SolveVec(a, []float64{5, -2, 9})
+	x, err := mustLU(t, a).SolveVec([]float64{5, -2, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,55 +39,110 @@ func TestFactorLUNonSquare(t *testing.T) {
 	}
 }
 
+// mustLU factors a or fails the test.
+func mustLU(t *testing.T, a *Dense) *LU {
+	t.Helper()
+	f, err := FactorLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// luDet is the determinant read off the factors P A = L U: the product
+// of U's diagonal times the sign of the row permutation.
+func luDet(f *LU) float64 {
+	d := 1.0
+	seen := make([]bool, f.n)
+	for i := range f.pivot {
+		if seen[i] {
+			continue
+		}
+		// A permutation cycle of length k contributes (−1)^(k−1).
+		for j := i; !seen[j]; j = f.pivot[j] {
+			seen[j] = true
+			if j != i {
+				d = -d
+			}
+		}
+	}
+	for i := 0; i < f.n; i++ {
+		d *= f.lu.At(i, i)
+	}
+	return d
+}
+
+// TestDet checks the factors through the determinant they imply.
 func TestDet(t *testing.T) {
 	a, _ := NewDenseFromRows([][]float64{{3, 8}, {4, 6}})
 	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Det(); math.Abs(got-(-14)) > 1e-12 {
+	if got := luDet(f); math.Abs(got-(-14)) > 1e-12 {
 		t.Errorf("det = %v, want -14", got)
 	}
 }
 
+// TestInverse solves against every unit vector: the columns form A⁻¹.
 func TestInverse(t *testing.T) {
 	a, _ := NewDenseFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prod.Equalish(Identity(2), 1e-12) {
-		t.Errorf("A*A⁻¹ = %v, want I", prod)
+	f := mustLU(t, a)
+	for j := 0; j < 2; j++ {
+		e := make([]float64, 2)
+		e[j] = 1
+		x, err := f.SolveVec(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ax, err := a.MulVec(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range e {
+			if math.Abs(ax[i]-e[i]) > 1e-12 {
+				t.Errorf("column %d: A·x = %v, want %v", j, ax, e)
+			}
+		}
 	}
 }
 
+// TestSolveMultiRHS: one factorization answers several right and left
+// systems.
 func TestSolveMultiRHS(t *testing.T) {
-	a, _ := NewDenseFromRows([][]float64{{1, 2}, {3, 5}})
-	b, _ := NewDenseFromRows([][]float64{{1, 0}, {0, 1}})
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
+	b := NewSparseBuilder(2, 2)
+	_ = b.Add(0, 0, 0.5)
+	_ = b.Add(0, 1, 0.25)
+	_ = b.Add(1, 0, 0.125)
+	m := b.Build()
+	a := Identity(2)
+	for i := 0; i < 2; i++ {
+		m.RowNonZeros(i, func(j int, v float64) { a.Add(i, j, -v) })
 	}
-	prod, err := a.Mul(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prod.Equalish(Identity(2), 1e-12) {
-		t.Error("Solve with identity RHS must produce inverse")
-	}
-	if _, err := Solve(a, NewDense(3, 1)); err == nil {
-		t.Error("rhs shape mismatch: want error")
+	f := must(DenseSolver{}.Factor(m))
+	for _, rhs := range [][]float64{{1, 0}, {0, 1}, {3, -2}} {
+		x, err := f.SolveVec(rhs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := f.SolveVecLeft(rhs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ax, _ := a.MulVec(x)
+		ya, _ := a.VecMul(y)
+		for i := range rhs {
+			if math.Abs(ax[i]-rhs[i]) > 1e-12 || math.Abs(ya[i]-rhs[i]) > 1e-12 {
+				t.Errorf("rhs %v: (I−M)x = %v, y(I−M) = %v", rhs, ax, ya)
+			}
+		}
 	}
 }
 
 func TestSolveVecLeft(t *testing.T) {
 	a, _ := NewDenseFromRows([][]float64{{1, 2}, {3, 4}})
 	// x * A = b  with x = [1, 1]  =>  b = [4, 6].
-	x, err := SolveVecLeft(a, []float64{4, 6})
+	x, err := mustLU(t, a).SolveVecTransposed([]float64{4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,24 +152,24 @@ func TestSolveVecLeft(t *testing.T) {
 }
 
 func TestSolveVecLengthMismatch(t *testing.T) {
-	a := Identity(3)
-	if _, err := SolveVec(a, []float64{1}); err == nil {
+	if _, err := mustLU(t, Identity(3)).SolveVec([]float64{1}); err == nil {
 		t.Error("length mismatch: want error")
 	}
 }
 
+// TestResidual pins the iterative solvers' stopping quantities:
+// ‖b − (I−M)x‖∞ and the scale ‖b‖∞ + ‖x‖∞.
 func TestResidual(t *testing.T) {
-	a := Identity(2)
-	r, err := Residual(a, []float64{1, 2}, []float64{1, 2})
-	if err != nil || r != 0 {
-		t.Errorf("residual = %v err %v, want 0", r, err)
+	b := NewSparseBuilder(2, 2)
+	_ = b.Add(0, 0, 0.5)
+	_ = b.Add(1, 1, 0.5)
+	m := b.Build()
+	res, scale := iMinusResidual(m, []float64{2, 4}, []float64{1, 2})
+	if res != 0 || math.Abs(scale-6) > 1e-12 {
+		t.Errorf("exact solution: residual %v scale %v, want 0 and 6", res, scale)
 	}
-	r, err = Residual(a, []float64{1, 2}, []float64{1, 3})
-	if err != nil || r != 1 {
-		t.Errorf("residual = %v err %v, want 1", r, err)
-	}
-	if _, err := Residual(a, []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch: want error")
+	if res, _ = iMinusResidual(m, []float64{2, 4}, []float64{1, 3}); res != 1 {
+		t.Errorf("residual = %v, want 1", res)
 	}
 }
 
@@ -133,15 +188,24 @@ func TestSolveRandomProperty(t *testing.T) {
 		for i := range b {
 			b[i] = 2*r.Float64() - 1
 		}
-		x, err := SolveVec(a, b)
+		f, err := FactorLU(a)
 		if err != nil {
 			return false
 		}
-		res, err := Residual(a, x, b)
+		x, err := f.SolveVec(b)
 		if err != nil {
 			return false
 		}
-		return res < 1e-9
+		ax, err := a.MulVec(x)
+		if err != nil {
+			return false
+		}
+		for i := range b {
+			if math.Abs(ax[i]-b[i]) >= 1e-9 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -160,7 +224,7 @@ func TestDetPermutationSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Det(); math.Abs(got-1) > 1e-12 {
+	if got := luDet(f); math.Abs(got-1) > 1e-12 {
 		t.Errorf("det(cyclic permutation) = %v, want 1", got)
 	}
 }
@@ -189,7 +253,7 @@ func TestSolveVecTransposedMatchesExplicitTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SolveVec(a.Transpose(), b)
+		want, err := mustLU(t, a.Transpose()).SolveVec(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,17 +2,17 @@ package matrix
 
 import "fmt"
 
-// RowBuilder emits a contiguous run of CSR rows without any shared state:
-// the row-local counterpart of SparseBuilder for parallel matrix
-// construction. A worker owns one RowBuilder, calls Add for the entries of
-// the current row and EndRow to seal it, and the per-worker runs are glued
-// back together in row order by ConcatRows. Entries land directly in
-// CSR-shaped buffers (one growing colIdx/vals pair per builder), so
-// building n rows costs O(nnz) amortized appends instead of a global
-// coordinate sort.
+// RowBuilder emits a contiguous run of CSR rows without any shared state,
+// for parallel matrix construction. A worker owns one RowBuilder, calls
+// Add for the entries of the current row and EndRow to seal it, and the
+// per-worker runs are glued back together in row order by ConcatRows.
+// Entries land directly in CSR-shaped buffers (one growing colIdx/vals
+// pair per builder), so building n rows costs O(nnz) amortized appends
+// instead of a global coordinate sort.
 //
-// Duplicate column entries within a row are summed in emission order after
-// a stable in-row sort — exactly the arithmetic of SparseBuilder.Build —
+// Duplicate column entries within a row are summed in emission order
+// after a stable in-row sort — the arithmetic of a coordinate builder
+// that stably sorts all entries and sums duplicates in insertion order —
 // which is what makes the parallel construction bit-identical to the
 // serial one for any worker count or chunking.
 type RowBuilder struct {
@@ -31,7 +31,7 @@ func NewRowBuilder(cols int) *RowBuilder {
 }
 
 // Add accumulates v at column j of the current row. Zero values are
-// dropped, like SparseBuilder.Add.
+// dropped.
 func (b *RowBuilder) Add(j int, v float64) error {
 	if j < 0 || j >= b.cols {
 		return fmt.Errorf("matrix: row entry column %d out of bounds for width %d", j, b.cols)

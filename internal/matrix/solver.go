@@ -31,8 +31,8 @@ import (
 //     sparsely with the matching preconditioner, densify only if the
 //     iteration fails to converge.
 //
-// Iterative factorizations accept a warm start (SolveVecFrom and
-// friends): an initial guess x0 from a nearby system — the previous cell
+// Iterative factorizations accept a warm start (SolveVecFrom,
+// SolveVecLeftFrom): an initial guess x0 from a nearby system — the previous cell
 // of a parameter sweep, the previous step of a sojourn recursion — cuts
 // the iteration count without changing the convergence criterion.
 
@@ -138,11 +138,13 @@ func (s SolveStats) Plus(o SolveStats) SolveStats {
 	return out
 }
 
-// Factorization is a prepared solving context for A = I − M.
+// Factorization is a prepared solving context for A = I − M: right and
+// left vector solves, each with an optional warm start, and the work
+// counters of all solves so far. A caller with several systems against
+// one block issues one vector solve per right-hand side; the block's
+// setup (LU factors, sparse transpose) is paid once, on first use.
 // Implementations are not safe for concurrent use.
 type Factorization interface {
-	// Order returns the dimension of the system.
-	Order() int
 	// SolveVec solves (I − M) x = b.
 	SolveVec(b []float64) ([]float64, error)
 	// SolveVecLeft solves the row-vector system x (I − M) = b,
@@ -150,28 +152,12 @@ type Factorization interface {
 	SolveVecLeft(b []float64) ([]float64, error)
 	// SolveVecFrom is SolveVec warm-started from the initial guess x0
 	// (same convergence criterion, fewer iterations when x0 is close).
-	// A nil x0 is the cold start; a non-nil x0 must have length Order().
+	// A nil x0 is the cold start; a non-nil x0 must have the order of
+	// the system.
 	// The dense backend ignores the guess. x0 is read, never written.
 	SolveVecFrom(b, x0 []float64) ([]float64, error)
 	// SolveVecLeftFrom is SolveVecLeft warm-started from x0.
 	SolveVecLeftFrom(b, x0 []float64) ([]float64, error)
-	// SolveMat solves (I − M) X = B for a batch of right-hand sides
-	// (bs[i] is one RHS vector): one prepared-block pass answers every
-	// column, so callers with several systems against the same block
-	// issue a single batched call. Column i of the result solves bs[i];
-	// columns are solved with the same arithmetic as SolveVec, so a
-	// batched solve is bit-identical to the vector-at-a-time loop.
-	SolveMat(bs [][]float64) ([][]float64, error)
-	// SolveMatLeft is the batched counterpart of SolveVecLeft: it solves
-	// x_i (I − M) = bs[i] for every i, sharing the per-block setup (LU
-	// factors, lazily built sparse transpose) across the batch.
-	SolveMatLeft(bs [][]float64) ([][]float64, error)
-	// SolveMatFrom is SolveMat with one warm-start guess per column;
-	// x0s may be nil (all cold), else len(x0s) must equal len(bs) and
-	// individual entries may be nil.
-	SolveMatFrom(bs, x0s [][]float64) ([][]float64, error)
-	// SolveMatLeftFrom is the batched, warm-started left solve.
-	SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error)
 	// Stats reports the cumulative work of all solves so far.
 	Stats() SolveStats
 }
@@ -191,35 +177,6 @@ func checkGuess(x0 []float64, n int) error {
 		return fmt.Errorf("matrix: warm-start guess length %d does not match order %d", len(x0), n)
 	}
 	return nil
-}
-
-// solveBatchFrom answers a batch of systems through one per-vector solve
-// function, after the caller has paid any shared setup (LU factors,
-// transpose) once. Each column gets exactly the arithmetic of the
-// corresponding vector call, so batched and looped solves agree
-// bit-for-bit.
-func solveBatchFrom(bs, x0s [][]float64, solve func(b, x0 []float64) ([]float64, error)) ([][]float64, error) {
-	if x0s != nil && len(x0s) != len(bs) {
-		return nil, fmt.Errorf("matrix: batched warm start has %d guesses for %d right-hand sides", len(x0s), len(bs))
-	}
-	out := make([][]float64, len(bs))
-	for i, b := range bs {
-		var x0 []float64
-		if x0s != nil {
-			x0 = x0s[i]
-		}
-		x, err := solve(b, x0)
-		if err != nil {
-			return nil, fmt.Errorf("matrix: batched solve, rhs %d of %d: %w", i, len(bs), err)
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
-// solveBatch is solveBatchFrom with every column cold.
-func solveBatch(bs [][]float64, solve func(b []float64) ([]float64, error)) ([][]float64, error) {
-	return solveBatchFrom(bs, nil, func(b, _ []float64) ([]float64, error) { return solve(b) })
 }
 
 // ---------------------------------------------------------------------------
@@ -255,8 +212,6 @@ type denseFactorization struct {
 	lu *LU
 }
 
-func (f *denseFactorization) Order() int { return f.a.Rows() }
-
 func (f *denseFactorization) factor() (*LU, error) {
 	if f.lu == nil {
 		lu, err := FactorLU(f.a)
@@ -287,41 +242,17 @@ func (f *denseFactorization) SolveVecLeft(b []float64) ([]float64, error) {
 // SolveVecFrom validates and then discards the guess: direct solves have
 // no iteration to shorten.
 func (f *denseFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.Order()); err != nil {
+	if err := checkGuess(x0, f.a.Rows()); err != nil {
 		return nil, err
 	}
 	return f.SolveVec(b)
 }
 
 func (f *denseFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.Order()); err != nil {
+	if err := checkGuess(x0, f.a.Rows()); err != nil {
 		return nil, err
 	}
 	return f.SolveVecLeft(b)
-}
-
-func (f *denseFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
-	}
-	return solveBatch(bs, lu.SolveVec)
-}
-
-func (f *denseFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
-	}
-	return solveBatch(bs, lu.SolveVecTransposed)
-}
-
-func (f *denseFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *denseFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *denseFactorization) Stats() SolveStats { return SolveStats{Backend: "dense"} }
@@ -373,8 +304,6 @@ type gsFactorization struct {
 	iters   int64
 }
 
-func (f *gsFactorization) Order() int { return f.m.Rows() }
-
 func (f *gsFactorization) SolveVec(b []float64) ([]float64, error) {
 	return f.SolveVecFrom(b, nil)
 }
@@ -396,24 +325,6 @@ func (f *gsFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
 	x, sweeps, err := gaussSeidel(f.mT, f.diag, b, x0, f.tol, f.maxIter)
 	f.iters += int64(sweeps)
 	return x, err
-}
-
-func (f *gsFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *gsFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *gsFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *gsFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *gsFactorization) Stats() SolveStats {
@@ -563,8 +474,6 @@ type bicgstabFactorization struct {
 	iters   int64
 }
 
-func (f *bicgstabFactorization) Order() int { return f.m.Rows() }
-
 // gsSweepsInto writes into z the result of bicgstabPrecondSweeps forward
 // Gauss–Seidel sweeps for (I−M)z = r starting from z = 0: the
 // preconditioner application z = P⁻¹r. The first sweep skips the
@@ -638,24 +547,6 @@ func (f *bicgstabFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, er
 		f.mT = f.m.Transpose()
 	}
 	return f.solve(b, x0, f.mT)
-}
-
-func (f *bicgstabFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *bicgstabFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *bicgstabFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *bicgstabFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *bicgstabFactorization) Stats() SolveStats {
@@ -859,9 +750,6 @@ type AutoSolver struct {
 	// ignored when Sparse is set explicitly.
 	Tol     float64
 	MaxIter int
-	// SlowMixThreshold overrides DefaultSlowMixThreshold; 0 selects the
-	// default.
-	SlowMixThreshold float64
 }
 
 // Name implements Solver.
@@ -874,11 +762,7 @@ func (s AutoSolver) Factor(m *CSR) (Factorization, error) {
 	}
 	sparse := s.Sparse
 	if sparse == nil {
-		threshold := s.SlowMixThreshold
-		if threshold <= 0 {
-			threshold = DefaultSlowMixThreshold
-		}
-		if MixingEstimate(m, MixingProbeSteps) >= threshold {
+		if MixingEstimate(m, MixingProbeSteps) >= DefaultSlowMixThreshold {
 			sparse = ILUSolver{Tol: s.Tol, MaxIter: s.MaxIter}
 		} else {
 			sparse = BiCGSTABSolver{Tol: s.Tol, MaxIter: s.MaxIter}
@@ -904,8 +788,6 @@ type autoFactorization struct {
 	reason    FallbackReason
 	fallbacks int64
 }
-
-func (f *autoFactorization) Order() int { return f.sparse.Order() }
 
 func (f *autoFactorization) fallback() (Factorization, error) {
 	f.fellBack = true
@@ -958,24 +840,6 @@ func (f *autoFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
 
 func (f *autoFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
 	return f.solve(b, x0, true)
-}
-
-// SolveMat batches through the per-vector path so the sparse→dense
-// fallback stays a per-system decision, exactly as in a vector loop.
-func (f *autoFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-func (f *autoFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *autoFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *autoFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *autoFactorization) Stats() SolveStats {

@@ -62,9 +62,6 @@ func TestSolversAgreeOnRandomSystems(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			if f.Order() != n {
-				t.Fatalf("%s: Order = %d, want %d", s.Name(), f.Order(), n)
-			}
 			x, err := f.SolveVec(b)
 			if err != nil {
 				t.Fatalf("%s right solve: %v", s.Name(), err)
@@ -299,8 +296,6 @@ type countingFactorization struct {
 	calls int
 }
 
-func (f *countingFactorization) Order() int { return f.inner.Order() }
-
 func (f *countingFactorization) SolveVec(b []float64) ([]float64, error) {
 	f.calls++
 	return f.inner.SolveVec(b)
@@ -319,22 +314,6 @@ func (f *countingFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error)
 func (f *countingFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
 	f.calls++
 	return f.inner.SolveVecLeftFrom(b, x0)
-}
-
-func (f *countingFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-func (f *countingFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *countingFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *countingFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
 }
 
 func (f *countingFactorization) Stats() SolveStats { return f.inner.Stats() }

@@ -5,81 +5,6 @@ import (
 	"sort"
 )
 
-// coord is a single (row, col) entry used while assembling a sparse matrix.
-type coord struct {
-	row, col int
-	val      float64
-}
-
-// SparseBuilder accumulates entries for a compressed sparse row matrix.
-// Duplicate (row, col) entries are summed, which is convenient when a
-// transition tree reaches the same target state along several branches.
-type SparseBuilder struct {
-	rows, cols int
-	entries    []coord
-}
-
-// NewSparseBuilder returns a builder for a rows x cols sparse matrix.
-func NewSparseBuilder(rows, cols int) *SparseBuilder {
-	return &SparseBuilder{rows: rows, cols: cols}
-}
-
-// Add accumulates v at (i, j).
-func (b *SparseBuilder) Add(i, j int, v float64) error {
-	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
-		return fmt.Errorf("matrix: sparse entry (%d,%d) out of bounds for %dx%d", i, j, b.rows, b.cols)
-	}
-	if v == 0 {
-		return nil
-	}
-	b.entries = append(b.entries, coord{row: i, col: j, val: v})
-	return nil
-}
-
-// Build finalizes the builder into a CSR matrix.
-//
-// Contract: duplicate (i, j) entries are summed, in the order they were
-// Added (the sort is stable, so equal coordinates keep insertion order and
-// the floating-point sum is deterministic). Build may be called again —
-// also after further Adds — and behaves as if every entry so far had been
-// Added to a fresh builder: the merge compacts the entry log in place and
-// b.entries is re-sliced to the compacted prefix, so no stale tail can
-// leak into a later Build.
-func (b *SparseBuilder) Build() *CSR {
-	sort.SliceStable(b.entries, func(p, q int) bool {
-		if b.entries[p].row != b.entries[q].row {
-			return b.entries[p].row < b.entries[q].row
-		}
-		return b.entries[p].col < b.entries[q].col
-	})
-	// Merge duplicates in place.
-	merged := b.entries[:0]
-	for _, e := range b.entries {
-		if n := len(merged); n > 0 && merged[n-1].row == e.row && merged[n-1].col == e.col {
-			merged[n-1].val += e.val
-			continue
-		}
-		merged = append(merged, e)
-	}
-	b.entries = merged
-	m := &CSR{
-		rows:   b.rows,
-		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, len(merged)),
-		vals:   make([]float64, len(merged)),
-	}
-	for i, e := range merged {
-		m.rowPtr[e.row+1]++
-		m.colIdx[i] = e.col
-		m.vals[i] = e.val
-	}
-	for r := 0; r < b.rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
-	}
-	return m
-}
-
 // CSR is a compressed sparse row matrix.
 type CSR struct {
 	rows, cols int
@@ -179,22 +104,6 @@ func (m *CSR) VecMulInto(v, dst []float64) error {
 	return nil
 }
 
-// MulVec returns the column vector M * v.
-func (m *CSR) MulVec(v []float64) ([]float64, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("matrix: CSR MulVec length %d does not match %d cols", len(v), m.cols)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * v[m.colIdx[k]]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // RowSums returns the per-row sums, e.g. for stochasticity checks.
 func (m *CSR) RowSums() []float64 {
 	out := make([]float64, m.rows)
@@ -255,27 +164,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// ScaleRows returns diag(s) * M: row i multiplied by s[i]. The sparsity
-// pattern is preserved (zero scales keep structurally-present entries).
-func (m *CSR) ScaleRows(s []float64) (*CSR, error) {
-	if len(s) != m.rows {
-		return nil, fmt.Errorf("matrix: ScaleRows scale length %d does not match %d rows", len(s), m.rows)
-	}
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out.vals[k] = m.vals[k] * s[i]
-		}
-	}
-	return out, nil
-}
-
 // Diagonal returns the main diagonal as a vector of length min(rows, cols).
 func (m *CSR) Diagonal() []float64 {
 	n := m.rows
@@ -292,17 +180,6 @@ func (m *CSR) Diagonal() []float64 {
 		}
 	}
 	return out
-}
-
-// Dense expands the matrix to dense form.
-func (m *CSR) Dense() *Dense {
-	d := NewDense(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
-		}
-	}
-	return d
 }
 
 // RowNonZeros calls fn for every stored entry of row i.

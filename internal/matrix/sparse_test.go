@@ -295,23 +295,6 @@ func TestCSRTranspose(t *testing.T) {
 	}
 }
 
-func TestCSRScaleRows(t *testing.T) {
-	b := NewSparseBuilder(2, 2)
-	_ = b.Add(0, 0, 2)
-	_ = b.Add(0, 1, 3)
-	_ = b.Add(1, 1, 5)
-	m, err := b.Build().ScaleRows([]float64{10, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 0) != 20 || m.At(0, 1) != 30 || m.At(1, 1) != 0 {
-		t.Errorf("ScaleRows wrong: %v", m.Dense())
-	}
-	if _, err := m.ScaleRows([]float64{1}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-}
-
 func TestCSRDiagonal(t *testing.T) {
 	b := NewSparseBuilder(3, 3)
 	_ = b.Add(0, 0, 1.5)
