@@ -133,12 +133,20 @@ func TestVecOps(t *testing.T) {
 	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("Dot length mismatch: want error")
 	}
-	if v := Ones(3); len(v) != 3 || v[0] != 1 || v[2] != 1 {
-		t.Errorf("Ones = %v", v)
-	}
 	va, err := VecAdd([]float64{1, 2}, []float64{3, 4})
 	if err != nil || va[0] != 4 || va[1] != 6 {
 		t.Errorf("VecAdd = %v err %v", va, err)
+	}
+}
+
+// TestOnesAndMaxAbs checks Ones. Dense.MaxAbs, the other half of the
+// original pair, is gone with the rest of the unreferenced dense algebra.
+func TestOnesAndMaxAbs(t *testing.T) {
+	if v := Ones(3); len(v) != 3 || v[0] != 1 || v[1] != 1 || v[2] != 1 {
+		t.Errorf("Ones = %v", v)
+	}
+	if v := Ones(0); len(v) != 0 {
+		t.Errorf("Ones(0) = %v, want empty", v)
 	}
 }
 
