@@ -161,34 +161,56 @@ type Analysis struct {
 // expected total times in A and B, the first nSojourns successive
 // sojourn expectations of both subsets (lockstep recursion),
 // absorption probabilities per class, and the hit probability of subset
-// B as the complement of a clean all-A absorption. The call sequence and
-// arithmetic are exactly the paper model's historical analysis, so
-// results through this generic path are bit-identical to it.
+// B as the complement of a clean all-A absorption.
+//
+// The relations fall into two groups that share no factorization, and
+// the groups run concurrently:
+//   - group T, on a goroutine of its own: E(T_A) then E(T_B), which
+//     factor I−T and solve the shared visits vector α_T(I−T)⁻¹;
+//   - group AB, on the calling goroutine: the sojourns then the clean
+//     all-A absorption, which factor I−M_A and I−M_B.
+//
+// After both groups join, the absorption probabilities read the cached
+// visits vector. Each factorization is used by one goroutine only and
+// every arithmetic step is the serial one, so results are bit-identical
+// to running the relations one after the other. Errors are reported
+// after the join in the serial order — E(T_A), E(T_B), sojourns,
+// absorption, hit probability — whichever group failed first in time,
+// and a panic in group T is re-raised on the calling goroutine.
 func AnalyzeChain(ch *markov.Chain, cleanClasses []string, nSojourns int) (*Analysis, error) {
-	ta, err := ch.ExpectedTotalTimeInA()
-	if err != nil {
-		return nil, fmt.Errorf("chainmodel: E(T_A): %w", err)
-	}
-	tb, err := ch.ExpectedTotalTimeInB()
-	if err != nil {
-		return nil, fmt.Errorf("chainmodel: E(T_B): %w", err)
-	}
+	// The buffer lets group T finish and exit even when group AB panics
+	// and nothing receives.
+	timesCh := make(chan totalTimes, 1)
+	go func() { timesCh <- expectedTotalTimes(ch) }()
+
 	// The two sojourn recursions advance in lockstep, one left solve per
 	// vector.
-	sa, sb, err := ch.SuccessiveSojournsBoth(nSojourns)
-	if err != nil {
-		return nil, fmt.Errorf("chainmodel: sojourns: %w", err)
+	sa, sb, sojErr := ch.SuccessiveSojournsBoth(nSojourns)
+	// "Ever in B" counts transient B visits AND direct absorptions into
+	// a non-clean class: complement of dying in a clean class without
+	// ever leaving A.
+	var clean float64
+	var cleanErr error
+	if sojErr == nil {
+		clean, cleanErr = ch.AbsorbedWithinA(cleanClasses...)
+	}
+
+	times := <-timesCh
+	if times.panicked != nil {
+		panic(times.panicked)
+	}
+	if times.err != nil {
+		return nil, times.err
+	}
+	if sojErr != nil {
+		return nil, fmt.Errorf("chainmodel: sojourns: %w", sojErr)
 	}
 	abs, err := ch.AbsorptionProbabilities()
 	if err != nil {
 		return nil, fmt.Errorf("chainmodel: absorption: %w", err)
 	}
-	// "Ever in B" counts transient B visits AND direct absorptions into
-	// a non-clean class: complement of dying in a clean class without
-	// ever leaving A.
-	clean, err := ch.AbsorbedWithinA(cleanClasses...)
-	if err != nil {
-		return nil, fmt.Errorf("chainmodel: hit probability: %w", err)
+	if cleanErr != nil {
+		return nil, fmt.Errorf("chainmodel: hit probability: %w", cleanErr)
 	}
 	hit := 1 - clean
 	// Clamp float64 round-off at the extremes (e.g. a zero attack rate
@@ -200,14 +222,41 @@ func AnalyzeChain(ch *markov.Chain, cleanClasses []string, nSojourns int) (*Anal
 		hit = 1
 	}
 	return &Analysis{
-		TimeInA:        ta,
-		TimeInB:        tb,
+		TimeInA:        times.a,
+		TimeInB:        times.b,
 		SojournsA:      sa,
 		SojournsB:      sb,
 		Absorption:     abs,
 		HitProbability: hit,
 		Solver:         ch.SolveStats(),
 	}, nil
+}
+
+// totalTimes is the outcome of AnalyzeChain's group T.
+type totalTimes struct {
+	a, b     float64
+	err      error
+	panicked any
+}
+
+// expectedTotalTimes runs group T: E(T_A), then E(T_B) unless E(T_A)
+// failed. A panic is caught so the caller can re-raise it on its own
+// goroutine, where a serving layer's recover sees it.
+func expectedTotalTimes(ch *markov.Chain) (r totalTimes) {
+	defer func() {
+		if p := recover(); p != nil {
+			r = totalTimes{panicked: p}
+		}
+	}()
+	var err error
+	if r.a, err = ch.ExpectedTotalTimeInA(); err != nil {
+		r.err = fmt.Errorf("chainmodel: E(T_A): %w", err)
+		return r
+	}
+	if r.b, err = ch.ExpectedTotalTimeInB(); err != nil {
+		r.err = fmt.Errorf("chainmodel: E(T_B): %w", err)
+	}
+	return r
 }
 
 // Analyze assembles inst's chain for the named initial distribution and

@@ -30,8 +30,14 @@ import (
 // Chain is an absorbing discrete-time Markov chain whose transient states
 // are split into two subsets. All CSR blocks are extracted once at
 // construction; the analytic methods are then pure (sparse) linear
-// algebra. A Chain caches factorizations and shared solves, so it is not
-// safe for concurrent use.
+// algebra. A Chain caches factorizations and shared solves, so its
+// methods are not safe for concurrent use, with one exception: the
+// methods on I−T (ExpectedTotalTimeInA, ExpectedTotalTimeInB and
+// AbsorptionProbabilities) may run on one goroutine while the methods
+// on I−M_A and I−M_B (SuccessiveSojournsBoth and AbsorbedWithinA) run
+// on another. The two groups share no factorization and write disjoint
+// fields, so their results are bit-identical to a serial run. Nothing
+// else may run concurrently, and SeedWarmStart must come before both.
 type Chain struct {
 	// Block decomposition of the transition matrix restricted to the
 	// transient states, in the (A, B) order.
@@ -177,16 +183,21 @@ func NewChain(spec Spec) (*Chain, error) {
 		return nil, fmt.Errorf("markov: ClassOrder lists %d classes, AbsorbingClasses has %d",
 			len(spec.ClassOrder), len(spec.AbsorbingClasses))
 	}
-	seen := make(map[int]string, n)
+	// owner[i] is 1 + the position in labels of the set state i belongs
+	// to; 0 means unassigned.
+	owner := make([]int32, n)
+	labels := make([]string, 0, 2+len(spec.ClassOrder))
 	mark := func(idx []int, label string) error {
+		labels = append(labels, label)
+		id := int32(len(labels))
 		for _, i := range idx {
 			if i < 0 || i >= n {
 				return fmt.Errorf("markov: state index %d out of range [0,%d)", i, n)
 			}
-			if prev, dup := seen[i]; dup {
-				return fmt.Errorf("markov: state %d assigned to both %s and %s", i, prev, label)
+			if prev := owner[i]; prev != 0 {
+				return fmt.Errorf("markov: state %d assigned to both %s and %s", i, labels[prev-1], label)
 			}
-			seen[i] = label
+			owner[i] = id
 		}
 		return nil
 	}

@@ -356,31 +356,42 @@ func TestSpecValidation(t *testing.T) {
 		ClassOrder:       []string{"end"},
 	}
 
+	// want, when set, is the exact error message: the partition check's
+	// messages are part of the package's contract.
 	tests := []struct {
 		name   string
 		mutate func(*Spec)
+		want   string
 	}{
-		{"nil full", func(s *Spec) { s.Full = nil }},
-		{"alpha length", func(s *Spec) { s.Alpha = []float64{1} }},
-		{"bad index", func(s *Spec) { s.SubsetA = []int{5} }},
-		{"negative index", func(s *Spec) { s.SubsetA = []int{-1} }},
-		{"overlap", func(s *Spec) { s.SubsetB = []int{0} }},
-		{"unknown class", func(s *Spec) { s.ClassOrder = []string{"nope"} }},
-		{"class count", func(s *Spec) { s.ClassOrder = nil }},
+		{"nil full", func(s *Spec) { s.Full = nil }, ""},
+		{"alpha length", func(s *Spec) { s.Alpha = []float64{1} }, ""},
+		{"bad index", func(s *Spec) { s.SubsetA = []int{5} }, "markov: state index 5 out of range [0,2)"},
+		{"negative index", func(s *Spec) { s.SubsetA = []int{-1} }, "markov: state index -1 out of range [0,2)"},
+		{"class index", func(s *Spec) { s.AbsorbingClasses = map[string][]int{"end": {2}} }, "markov: state index 2 out of range [0,2)"},
+		{"overlap", func(s *Spec) { s.SubsetB = []int{0} }, "markov: state 0 assigned to both A and B"},
+		{"repeat in A", func(s *Spec) { s.SubsetA = []int{0, 0} }, "markov: state 0 assigned to both A and A"},
+		{"B and class", func(s *Spec) { s.SubsetB = []int{1} }, "markov: state 1 assigned to both B and end"},
+		{"unknown class", func(s *Spec) { s.ClassOrder = []string{"nope"} }, ""},
+		{"class count", func(s *Spec) { s.ClassOrder = nil }, ""},
 		{
 			"state in two classes",
 			func(s *Spec) {
 				s.AbsorbingClasses = map[string][]int{"end": {1}, "dup": {1}}
 				s.ClassOrder = []string{"end", "dup"}
 			},
+			"markov: state 1 assigned to both end and dup",
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			spec := base
 			tt.mutate(&spec)
-			if _, err := NewChain(spec); err == nil {
+			_, err := NewChain(spec)
+			switch {
+			case err == nil:
 				t.Error("want error, got nil")
+			case tt.want != "" && err.Error() != tt.want:
+				t.Errorf("error %q, want %q", err, tt.want)
 			}
 		})
 	}
@@ -397,6 +408,56 @@ func TestNonSquareRejected(t *testing.T) {
 	}
 }
 
+// randomChainSpec draws a random absorbing chain: nA + nB transient
+// states, every row leaking at least 0.05 to two absorbing states "u"
+// and "v", and all initial mass on one random transient state.
+func randomChainSpec(r *rand.Rand, nA, nB int) Spec {
+	nT := nA + nB
+	n := nT + 2 // two absorbing states
+	b := newSparseBuilder(n, n)
+	for i := 0; i < nT; i++ {
+		// Random transition row with at least 0.05 leak to absorbing.
+		weights := make([]float64, n)
+		var sum float64
+		for j := 0; j < n; j++ {
+			weights[j] = r.Float64()
+			sum += weights[j]
+		}
+		leak := 0.05 + 0.2*r.Float64()
+		for j := 0; j < nT; j++ {
+			_ = b.Add(i, j, (1-leak)*weights[j]/sum)
+		}
+		// Remaining mass (leak plus unassigned weight share) to absorbing.
+		var assigned float64
+		for j := 0; j < nT; j++ {
+			assigned += (1 - leak) * weights[j] / sum
+		}
+		rest := 1 - assigned
+		_ = b.Add(i, nT, rest/2)
+		_ = b.Add(i, nT+1, rest/2)
+	}
+	_ = b.Add(nT, nT, 1)
+	_ = b.Add(nT+1, nT+1, 1)
+	alpha := make([]float64, n)
+	alpha[r.Intn(nT)] = 1
+	subsetA := make([]int, nA)
+	for i := range subsetA {
+		subsetA[i] = i
+	}
+	subsetB := make([]int, nB)
+	for i := range subsetB {
+		subsetB[i] = nA + i
+	}
+	return Spec{
+		Full:             b.Build(),
+		Alpha:            alpha,
+		SubsetA:          subsetA,
+		SubsetB:          subsetB,
+		AbsorbingClasses: map[string][]int{"u": {nT}, "v": {nT + 1}},
+		ClassOrder:       []string{"u", "v"},
+	}
+}
+
 // TestRandomChainInvariants builds random absorbing chains and checks the
 // structural invariants: absorption probabilities form a distribution, all
 // expected times are non-negative, and the sojourn series sums toward the
@@ -406,56 +467,7 @@ func TestRandomChainInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nA := 1 + r.Intn(4)
 		nB := r.Intn(4)
-		nT := nA + nB
-		n := nT + 2 // two absorbing states
-		b := newSparseBuilder(n, n)
-		for i := 0; i < nT; i++ {
-			// Random transition row with at least 0.05 leak to absorbing.
-			weights := make([]float64, n)
-			var sum float64
-			for j := 0; j < n; j++ {
-				weights[j] = r.Float64()
-				sum += weights[j]
-			}
-			leak := 0.05 + 0.2*r.Float64()
-			for j := 0; j < nT; j++ {
-				if err := b.Add(i, j, (1-leak)*weights[j]/sum); err != nil {
-					return false
-				}
-			}
-			// Remaining mass (leak plus unassigned weight share) to absorbing.
-			var assigned float64
-			for j := 0; j < nT; j++ {
-				assigned += (1 - leak) * weights[j] / sum
-			}
-			rest := 1 - assigned
-			if err := b.Add(i, nT, rest/2); err != nil {
-				return false
-			}
-			if err := b.Add(i, nT+1, rest/2); err != nil {
-				return false
-			}
-		}
-		_ = b.Add(nT, nT, 1)
-		_ = b.Add(nT+1, nT+1, 1)
-		alpha := make([]float64, n)
-		alpha[r.Intn(nT)] = 1
-		subsetA := make([]int, nA)
-		for i := range subsetA {
-			subsetA[i] = i
-		}
-		subsetB := make([]int, nB)
-		for i := range subsetB {
-			subsetB[i] = nA + i
-		}
-		c, err := NewChain(Spec{
-			Full:             b.Build(),
-			Alpha:            alpha,
-			SubsetA:          subsetA,
-			SubsetB:          subsetB,
-			AbsorbingClasses: map[string][]int{"u": {nT}, "v": {nT + 1}},
-			ClassOrder:       []string{"u", "v"},
-		})
+		c, err := NewChain(randomChainSpec(r, nA, nB))
 		if err != nil {
 			return false
 		}
@@ -790,5 +802,141 @@ func TestSojournStepFailureIsNoConvergence(t *testing.T) {
 	_, _, err := c.SuccessiveSojournsBoth(3)
 	if !errors.Is(err, matrix.ErrNoConvergence) {
 		t.Fatalf("err = %v, want matrix.ErrNoConvergence", err)
+	}
+}
+
+// relationResults holds every relation's output on one chain, plus what
+// the chain recorded, for bit-for-bit comparison.
+type relationResults struct {
+	timeA, timeB, clean  float64
+	sojournsA, sojournsB []float64
+	absorption           map[string]float64
+	stats                matrix.SolveStats
+	rec                  *WarmStart
+	errT, errAB          error
+}
+
+// runGroupT runs the relations that use only I−T and the visits vector.
+func runGroupT(c *Chain, r *relationResults) {
+	if r.timeA, r.errT = c.ExpectedTotalTimeInA(); r.errT != nil {
+		return
+	}
+	if r.timeB, r.errT = c.ExpectedTotalTimeInB(); r.errT != nil {
+		return
+	}
+	r.absorption, r.errT = c.AbsorptionProbabilities()
+}
+
+// runGroupAB runs the relations that use only I−M_A and I−M_B.
+func runGroupAB(c *Chain, r *relationResults) {
+	if r.sojournsA, r.sojournsB, r.errAB = c.SuccessiveSojournsBoth(4); r.errAB != nil {
+		return
+	}
+	r.clean, r.errAB = c.AbsorbedWithinA("u")
+}
+
+// warmVectors lists every vector a WarmStart holds, in a fixed order.
+func warmVectors(ws *WarmStart) [][]float64 {
+	v := [][]float64{ws.Visits, ws.EntryA, ws.EntryB, ws.UA, ws.UB, ws.SojournPrologue, ws.Clean}
+	for _, steps := range [][][][]float64{ws.StepsA, ws.StepsB} {
+		for _, step := range steps {
+			v = append(v, step...)
+		}
+	}
+	return v
+}
+
+// TestRelationGroupsRunConcurrently pins the Chain's concurrency
+// contract: the I−T group and the I−M_A/I−M_B group may run on two
+// goroutines against one chain, and every output, solver counter and
+// recorded warm-start vector is bit-identical to a serial run on a
+// chain built from the same spec, cold and warm-started. Run it under
+// go test -race.
+func TestRelationGroupsRunConcurrently(t *testing.T) {
+	solvers := []matrix.Solver{
+		matrix.DenseSolver{},
+		matrix.GaussSeidelSolver{},
+		matrix.BiCGSTABSolver{},
+		matrix.ILUSolver{},
+		matrix.AutoSolver{},
+	}
+	r := rand.New(rand.NewSource(28))
+	spec, neighbour := randomChainSpec(r, 40, 30), randomChainSpec(r, 40, 30)
+	// Like a sweep lane's neighbour, the seeding chain shares the
+	// initial distribution.
+	neighbour.Alpha = spec.Alpha
+	for _, s := range solvers {
+		spec.Solver, neighbour.Solver = s, s
+		// A neighbouring chain's recorded vectors seed the warm runs.
+		seedChain, err := NewChain(neighbour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seedRun relationResults
+		runGroupT(seedChain, &seedRun)
+		runGroupAB(seedChain, &seedRun)
+		seed := seedChain.RecordedWarmStart()
+		for _, ws := range []*WarmStart{nil, seed} {
+			name := fmt.Sprintf("%s warm=%t", s.Name(), ws != nil)
+			run := func(concurrent bool) relationResults {
+				c, err := NewChain(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SeedWarmStart(ws)
+				var res relationResults
+				if concurrent {
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						runGroupT(c, &res)
+					}()
+					runGroupAB(c, &res)
+					<-done
+				} else {
+					runGroupT(c, &res)
+					runGroupAB(c, &res)
+				}
+				res.stats = c.SolveStats()
+				res.rec = c.RecordedWarmStart()
+				return res
+			}
+			serial, conc := run(false), run(true)
+			if serial.errT != nil || serial.errAB != nil || conc.errT != nil || conc.errAB != nil {
+				t.Fatalf("%s: errors serial (%v, %v), concurrent (%v, %v)", name,
+					serial.errT, serial.errAB, conc.errT, conc.errAB)
+			}
+			same := func(what string, a, b []float64) {
+				if len(a) != len(b) {
+					t.Errorf("%s: %s has length %d concurrently, %d serially", name, what, len(b), len(a))
+					return
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Errorf("%s: %s[%d] = %v concurrently, %v serially", name, what, i, b[i], a[i])
+						return
+					}
+				}
+			}
+			same("E(T_A), E(T_B), clean", []float64{serial.timeA, serial.timeB, serial.clean},
+				[]float64{conc.timeA, conc.timeB, conc.clean})
+			same("absorption", []float64{serial.absorption["u"], serial.absorption["v"]},
+				[]float64{conc.absorption["u"], conc.absorption["v"]})
+			same("sojourns A", serial.sojournsA, conc.sojournsA)
+			same("sojourns B", serial.sojournsB, conc.sojournsB)
+			if serial.stats != conc.stats {
+				t.Errorf("%s: solve stats %+v concurrently, %+v serially", name, conc.stats, serial.stats)
+			}
+			if s.Name() != "dense" && serial.stats.Iterations == 0 {
+				t.Errorf("%s: no iterations; the chain does not exercise the iterative path", name)
+			}
+			sv, cv := warmVectors(serial.rec), warmVectors(conc.rec)
+			if len(sv) != len(cv) {
+				t.Fatalf("%s: %d recorded warm-start vectors concurrently, %d serially", name, len(cv), len(sv))
+			}
+			for i := range sv {
+				same(fmt.Sprintf("recorded warm-start vector %d", i), sv[i], cv[i])
+			}
+		}
 	}
 }

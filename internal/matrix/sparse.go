@@ -196,7 +196,8 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 // preserving sparsity, without ever densifying: a direct CSR-to-CSR copy
 // using a slice-based column position table (no maps, no re-sorting when
 // the column selection is ascending — the common case for state-class
-// index sets).
+// index sets). A counting pass sizes the output exactly, so the copy
+// allocates its column and value slices once.
 func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 	colPos := make([]int, m.cols)
 	for i := range colPos {
@@ -212,15 +213,25 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 		}
 		colPos[c] = p
 	}
+	nnz := 0
+	for _, r := range rowIdx {
+		if r < 0 || r >= m.rows {
+			return nil, fmt.Errorf("matrix: SubCSR row index %d out of bounds for %d rows", r, m.rows)
+		}
+		for _, c := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
+			if colPos[c] >= 0 {
+				nnz++
+			}
+		}
+	}
 	out := &CSR{
 		rows:   len(rowIdx),
 		cols:   len(colIdx),
 		rowPtr: make([]int, len(rowIdx)+1),
+		colIdx: make([]int, 0, nnz),
+		vals:   make([]float64, 0, nnz),
 	}
 	for p, r := range rowIdx {
-		if r < 0 || r >= m.rows {
-			return nil, fmt.Errorf("matrix: SubCSR row index %d out of bounds for %d rows", r, m.rows)
-		}
 		rowStart := len(out.vals)
 		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
 			if q := colPos[m.colIdx[k]]; q >= 0 {

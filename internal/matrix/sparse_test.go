@@ -271,6 +271,61 @@ func TestSubCSRReorderedColumns(t *testing.T) {
 	}
 }
 
+// subCSRReference extracts a sub-matrix the straightforward way: for each
+// selected row and each selected column, in selection order (so output
+// columns ascend), look the entry up by a scan of the stored row.
+func subCSRReference(m *CSR, rowIdx, colIdx []int) *CSR {
+	out := &CSR{rows: len(rowIdx), cols: len(colIdx), rowPtr: make([]int, len(rowIdx)+1)}
+	for p, r := range rowIdx {
+		var cols []int
+		var vals []float64
+		for q, c := range colIdx {
+			for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+				if m.colIdx[k] == c {
+					cols = append(cols, q)
+					vals = append(vals, m.vals[k])
+				}
+			}
+		}
+		out.colIdx = append(out.colIdx, cols...)
+		out.vals = append(out.vals, vals...)
+		out.rowPtr[p+1] = len(out.vals)
+	}
+	return out
+}
+
+// TestSubCSRExactAllocation: SubCSR sizes its output in a counting pass,
+// so both slices come out with cap == len, and the copy equals the
+// straightforward reference on ascending, reordered and empty selections.
+func TestSubCSRExactAllocation(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	m := randomCSR(r, 12)
+	selections := []struct {
+		name       string
+		rows, cols []int
+	}{
+		{"ascending", []int{0, 2, 3, 7, 11}, []int{1, 2, 5, 6, 10}},
+		{"reordered", []int{9, 1, 4}, []int{11, 0, 6, 3}},
+		{"all", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+		{"no rows", nil, []int{0, 1}},
+		{"no cols", []int{0, 1}, nil},
+		{"empty", nil, nil},
+	}
+	for _, sel := range selections {
+		sub, err := m.SubCSR(sel.rows, sel.cols)
+		if err != nil {
+			t.Fatalf("%s: %v", sel.name, err)
+		}
+		if cap(sub.colIdx) != len(sub.colIdx) || cap(sub.vals) != len(sub.vals) {
+			t.Errorf("%s: colIdx len %d cap %d, vals len %d cap %d; want cap == len",
+				sel.name, len(sub.colIdx), cap(sub.colIdx), len(sub.vals), cap(sub.vals))
+		}
+		if want := subCSRReference(m, sel.rows, sel.cols); !sub.Equal(want) {
+			t.Errorf("%s: SubCSR differs from the reference", sel.name)
+		}
+	}
+}
+
 func TestCSRTranspose(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {

@@ -151,11 +151,3 @@ func (cc *CompetingChains) SingleChainDistribution(alpha []float64, m int) ([]fl
 func binomialWeight(m, l int, p float64) (float64, error) {
 	return combin.BinomialPMF(m, p, l)
 }
-
-// LongRunProportions returns the limiting values of the safe and polluted
-// proportions. The transient classes S and P vanish in the limit (matrix
-// T/n + (1−1/n)I is sub-stochastic — end of Section VIII), so this always
-// returns (0, 0); it exists to document and test exactly that claim.
-func (cc *CompetingChains) LongRunProportions() (safe, polluted float64) {
-	return 0, 0
-}

@@ -231,15 +231,3 @@ func TestPollutedProportionLowPaperHeadline(t *testing.T) {
 		}
 	}
 }
-
-func TestLongRunProportionsZero(t *testing.T) {
-	m := newModel(t, 0.2, 0.9)
-	cc, err := New(m, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, p := cc.LongRunProportions()
-	if s != 0 || p != 0 {
-		t.Errorf("long-run proportions = %v,%v, want 0,0", s, p)
-	}
-}

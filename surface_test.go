@@ -66,7 +66,6 @@ var surfaceAllowlist = map[string]bool{
 	"identity.VerifyMessage":                          true,
 	"montecarlo.Simulator.RunBatch":                   true,
 	"obs.SortedStages":                                true,
-	"overlay.CompetingChains.LongRunProportions":      true,
 	"overlay.CompetingChains.SingleChainDistribution": true,
 	"stats.Counter.Total":                             true,
 	"stats.Histogram.Buckets":                         true,
