@@ -201,10 +201,13 @@ func TestJobInheritsTraceID(t *testing.T) {
 func TestTimingsSumMatchesHistogram(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	req := SweepRequest{
-		C: "7", Delta: "7", K: "1",
+		C: "20", Delta: "20", K: "1",
 		// 50 compute-heavy cells, sequentially on one worker, so the
 		// traced stages dominate the request and untraced gaps (goroutine
-		// handoff, DTO assembly) stay well under the 10% band.
+		// handoff, DTO assembly) stay well under the 10% band. At C=∆=20
+		// the request takes ≈200 ms on one core, so the band is ≈20 ms:
+		// wider than a scheduler time slice, so one preemption of the
+		// test process inside an untraced gap cannot break it.
 		Mu: "0.05:0.5:0.05", D: "0.5:0.9:0.1", Nu: "0.1",
 		Workers: 1,
 		Timings: true,

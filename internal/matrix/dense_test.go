@@ -241,7 +241,11 @@ func TestTransposeProductProperty(t *testing.T) {
 			return false
 		}
 		got := make([]float64, n)
-		if err := m.Transpose().MulVecInto(x, got); err != nil {
+		mt, err := m.Transpose()
+		if err != nil {
+			return false
+		}
+		if err := mt.MulVecInto(x, got); err != nil {
 			return false
 		}
 		for i := range want {

@@ -22,7 +22,8 @@ import (
 // with z = U⁻¹L⁻¹r, left (row-vector) systems run BiCGSTAB on Mᵀ and
 // precondition with z = (LU)⁻ᵀr = L⁻ᵀU⁻ᵀr via transposed triangular
 // solves on the same factors — no second factorization, no transposed
-// copy of the factors.
+// copy of the factors, and no transposed copy of M either: the left
+// products scatter over M's rows (CSR.VecMulInto).
 
 // ILUSolver solves (I−M)x = b with BiCGSTAB preconditioned by an ILU(0)
 // factorization of I − M. It is the backend of choice for slow-mixing
@@ -69,15 +70,15 @@ func (s ILUSolver) Factor(m *CSR) (Factorization, error) {
 const iluPivotFloor = 1e-300
 
 // iluFactors stores the combined L\U factors of ILU(0) in one CSR
-// layout: within each (column-sorted) row, entries left of the diagonal
-// are L (unit diagonal implied), the diagonal and entries right of it
-// are U.
+// layout, with 32-bit indices like CSR: within each (column-sorted) row,
+// entries left of the diagonal are L (unit diagonal implied), the
+// diagonal and entries right of it are U.
 type iluFactors struct {
 	n      int
-	rowPtr []int
-	colIdx []int
+	rowPtr []uint32
+	colIdx []uint32
 	vals   []float64
-	diag   []int // index into vals/colIdx of each row's diagonal entry
+	diag   []uint32 // index into vals/colIdx of each row's diagonal entry
 }
 
 // factorILU0 assembles A = I − M on M's sparsity pattern (plus a
@@ -86,12 +87,15 @@ type iluFactors struct {
 // approximation A ≈ LU.
 func factorILU0(m *CSR) (*iluFactors, error) {
 	n := m.Rows()
+	if err := checkIndexRange("ILU(0)", n, m.NNZ()+n); err != nil {
+		return nil, err
+	}
 	lu := &iluFactors{
 		n:      n,
-		rowPtr: make([]int, n+1),
-		colIdx: make([]int, 0, m.NNZ()+n),
+		rowPtr: make([]uint32, n+1),
+		colIdx: make([]uint32, 0, m.NNZ()+n),
 		vals:   make([]float64, 0, m.NNZ()+n),
-		diag:   make([]int, n),
+		diag:   make([]uint32, n),
 	}
 	// Assembly: rows of M are column-sorted, so the diagonal of A can be
 	// merged in at its sorted position in one pass.
@@ -100,28 +104,27 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 		m.RowNonZeros(i, func(j int, v float64) {
 			if !placed && j >= i {
 				placed = true
-				lu.diag[i] = len(lu.vals)
+				lu.diag[i] = uint32(len(lu.vals))
+				lu.colIdx = append(lu.colIdx, uint32(i))
 				if j == i {
-					lu.colIdx = append(lu.colIdx, i)
 					lu.vals = append(lu.vals, 1-v)
 					return
 				}
-				lu.colIdx = append(lu.colIdx, i)
 				lu.vals = append(lu.vals, 1)
 			}
-			lu.colIdx = append(lu.colIdx, j)
+			lu.colIdx = append(lu.colIdx, uint32(j))
 			lu.vals = append(lu.vals, -v)
 		})
 		if !placed {
-			lu.diag[i] = len(lu.vals)
-			lu.colIdx = append(lu.colIdx, i)
+			lu.diag[i] = uint32(len(lu.vals))
+			lu.colIdx = append(lu.colIdx, uint32(i))
 			lu.vals = append(lu.vals, 1)
 		}
-		lu.rowPtr[i+1] = len(lu.vals)
+		lu.rowPtr[i+1] = uint32(len(lu.vals))
 	}
 	// IKJ elimination. pos scatters the current row's pattern for O(1)
 	// membership tests (entry index + 1; 0 = outside the pattern).
-	pos := make([]int, n)
+	pos := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		start, end := lu.rowPtr[i], lu.rowPtr[i+1]
 		for k := start; k < end; k++ {
@@ -129,7 +132,7 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 		}
 		for k := start; k < end; k++ {
 			kcol := lu.colIdx[k]
-			if kcol >= i {
+			if int(kcol) >= i {
 				break // rows are column-sorted: L entries come first
 			}
 			lik := lu.vals[k] / lu.vals[lu.diag[kcol]]
@@ -156,17 +159,18 @@ func (lu *iluFactors) apply(r, z []float64) {
 	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
 	for i := 0; i < lu.n; i++ {
 		s := r[i]
-		for k := rowPtr[i]; k < diag[i]; k++ {
+		for k, d := int(rowPtr[i]), int(diag[i]); k < d; k++ {
 			s -= vals[k] * z[colIdx[k]]
 		}
 		z[i] = s
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		s := z[i]
-		for k := diag[i] + 1; k < rowPtr[i+1]; k++ {
+		d := int(diag[i])
+		for k, end := d+1, int(rowPtr[i+1]); k < end; k++ {
 			s -= vals[k] * z[colIdx[k]]
 		}
-		z[i] = s / vals[diag[i]]
+		z[i] = s / vals[d]
 	}
 }
 
@@ -179,15 +183,16 @@ func (lu *iluFactors) applyTransposed(r, z []float64) {
 	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
 	copy(z, r)
 	for i := 0; i < lu.n; i++ {
-		z[i] /= vals[diag[i]]
+		d := int(diag[i])
+		z[i] /= vals[d]
 		wi := z[i]
-		for k := diag[i] + 1; k < rowPtr[i+1]; k++ {
+		for k, end := d+1, int(rowPtr[i+1]); k < end; k++ {
 			z[colIdx[k]] -= vals[k] * wi
 		}
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		zi := z[i]
-		for k := rowPtr[i]; k < diag[i]; k++ {
+		for k, d := int(rowPtr[i]), int(diag[i]); k < d; k++ {
 			z[colIdx[k]] -= vals[k] * zi
 		}
 	}
@@ -195,37 +200,22 @@ func (lu *iluFactors) applyTransposed(r, z []float64) {
 
 type iluFactorization struct {
 	m       *CSR
-	mT      *CSR // lazily built transpose, for left systems
 	lu      *iluFactors
 	tol     float64
 	maxIter int
 	iters   int64
 }
 
-// solve runs ILU(0)-preconditioned BiCGSTAB on a (M for right systems,
-// Mᵀ for left ones) with the matching preconditioner orientation.
-func (f *iluFactorization) solve(b, x0 []float64, a *CSR, precond func(r, z []float64)) ([]float64, error) {
-	n := a.Rows()
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: solve rhs length %d does not match order %d", len(b), n)
-	}
-	if err := checkGuess(x0, n); err != nil {
-		return nil, err
-	}
-	tmp := make([]float64, n)
-	matvec := func(x, dst []float64) {
-		_ = a.MulVecInto(x, tmp)
-		for i := range dst {
-			dst[i] = x[i] - tmp[i]
-		}
-	}
-	x, iters, _, err := bicgstab(matvec, precond, b, x0, f.tol, f.maxIter)
+// solve runs ILU(0)-preconditioned BiCGSTAB on I − A, where mul is the
+// product with A (M.MulVecInto for right systems, M.VecMulInto — the
+// product with Mᵀ — for left ones), with the matching preconditioner
+// orientation.
+func (f *iluFactorization) solve(b, x0 []float64, mul func(x, dst []float64) error, precond func(r, z []float64)) ([]float64, error) {
+	x, iters, _, err := bicgstab(f.lu.n, mul, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
-	if err != nil {
-		var ce *ConvergenceError
-		if errors.As(err, &ce) {
-			ce.Method = "ilu-bicgstab"
-		}
+	var ce *ConvergenceError
+	if errors.As(err, &ce) {
+		ce.Method = "ilu-bicgstab"
 	}
 	return x, err
 }
@@ -235,7 +225,7 @@ func (f *iluFactorization) SolveVec(b []float64) ([]float64, error) {
 }
 
 func (f *iluFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	return f.solve(b, x0, f.m, f.lu.apply)
+	return f.solve(b, x0, f.m.MulVecInto, f.lu.apply)
 }
 
 func (f *iluFactorization) SolveVecLeft(b []float64) ([]float64, error) {
@@ -243,10 +233,7 @@ func (f *iluFactorization) SolveVecLeft(b []float64) ([]float64, error) {
 }
 
 func (f *iluFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if f.mT == nil {
-		f.mT = f.m.Transpose()
-	}
-	return f.solve(b, x0, f.mT, f.lu.applyTransposed)
+	return f.solve(b, x0, f.m.VecMulInto, f.lu.applyTransposed)
 }
 
 func (f *iluFactorization) Stats() SolveStats {

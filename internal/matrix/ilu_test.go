@@ -62,7 +62,7 @@ func TestILUFactorsReproduceAOnPattern(t *testing.T) {
 	// Rebuild LU densely and compare against A = I − full.
 	get := func(f *iluFactors, i, j int) float64 {
 		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			if f.colIdx[k] == j {
+			if int(f.colIdx[k]) == j {
 				return f.vals[k]
 			}
 		}
@@ -315,5 +315,42 @@ func TestStatsPlus(t *testing.T) {
 	got := a.Plus(b)
 	if got.Backend != "ilu" || got.Iterations != 15 || got.Fallbacks != 1 || got.FallbackReason != FallbackBreakdown {
 		t.Errorf("Plus = %+v", got)
+	}
+}
+
+// TestILULeftSolveMatchesTransposedGather: the ILU left solve multiplies
+// by Mᵀ as a scatter over the rows of M. Summed in ascending row order,
+// every output adds the same products in the same order as the dot
+// product over the stored transpose, so solutions and iteration counts
+// must agree bit for bit, cold and warm.
+func TestILULeftSolveMatchesTransposedGather(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	systems := []*CSR{pathChain(t, 300), bandedSubstochastic(t, 3000)}
+	for trial := 0; trial < 12; trial++ {
+		systems = append(systems, randomSubstochastic(t, r, 2+r.Intn(60), 0.01+0.2*r.Float64()))
+	}
+	for s, m := range systems {
+		n := m.Rows()
+		b := randomVec(r, n)
+		x0 := randomVec(r, n)
+		for _, guess := range [][]float64{nil, x0} {
+			f := must(ILUSolver{}.Factor(m))
+			got, err := f.SolveVecLeftFrom(b, guess)
+			if err != nil {
+				t.Fatalf("system %d: %v", s, err)
+			}
+			want, iters, err := iluLeftReference(m, f.(*iluFactorization).lu, b, guess)
+			if err != nil {
+				t.Fatalf("system %d reference: %v", s, err)
+			}
+			if st := f.Stats(); st.Iterations != int64(iters) {
+				t.Errorf("system %d (warm %t): %d iterations, reference took %d", s, guess != nil, st.Iterations, iters)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("system %d (warm %t): x[%d] = %v, reference %v", s, guess != nil, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

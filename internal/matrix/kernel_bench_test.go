@@ -1,0 +1,136 @@
+package matrix
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Micro-benchmarks of the solve kernels that stream the CSR index arrays:
+// the two SpMV orientations, the Gauss–Seidel preconditioner and both
+// ILU(0) applications. They run on a deterministic banded substochastic
+// matrix at the transient-block sizes of the C=∆=40 sweep cells (33,579)
+// and of the C=∆=100 cell (509,949), so a change of index width or loop
+// shape can be sized per kernel before it is sized end to end.
+
+// kernelSizes names the benchmarked orders.
+var kernelSizes = []struct {
+	name string
+	n    int
+}{
+	{"sweep40", 33_579},
+	{"colossal", 509_949},
+}
+
+// bandedOffsets is the column pattern of every benchmark row relative to
+// the row index: a tridiagonal core plus near and far bands, ≈6 entries
+// per row like the chain blocks (2.86M entries on 520k states).
+var bandedOffsets = []int{-611, -1, 0, 1, 37, 4099}
+
+// bandedSubstochastic returns the n×n benchmark matrix. Entry weights come
+// from a fixed integer hash, the diagonal carries the largest weight (the
+// self-loops of a slow-mixing block) and every row sums to 0.98.
+func bandedSubstochastic(tb testing.TB, n int) *CSR {
+	tb.Helper()
+	b := NewRowBuilder(n)
+	w := make([]float64, len(bandedOffsets))
+	for i := 0; i < n; i++ {
+		var sum float64
+		for p, off := range bandedOffsets {
+			w[p] = 0
+			if j := i + off; j >= 0 && j < n {
+				h := uint32(i*len(bandedOffsets)+p) * 2654435761
+				w[p] = 1 + float64(h>>24)/64
+				if off == 0 {
+					w[p] += 8
+				}
+				sum += w[p]
+			}
+		}
+		for p, off := range bandedOffsets {
+			if w[p] != 0 {
+				if err := b.Add(i+off, 0.98*w[p]/sum); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		b.EndRow()
+	}
+	m, err := ConcatRows(n, b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// benchVec returns a deterministic length-n vector with entries in (0, 1].
+func benchVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(uint32(i)*2246822519>>8+1) / (1 << 24)
+	}
+	return v
+}
+
+// benchKernel runs kernel once per iteration on the matrix of every
+// benchmarked size; setup, given the matrix, prepares the kernel outside
+// the timer.
+func benchKernel(b *testing.B, setup func(b *testing.B, m *CSR) func()) {
+	for _, sz := range kernelSizes {
+		b.Run(fmt.Sprintf("%s/n=%d", sz.name, sz.n), func(b *testing.B) {
+			kernel := setup(b, bandedSubstochastic(b, sz.n))
+			b.ReportAllocs()
+			for b.Loop() {
+				kernel()
+			}
+		})
+	}
+}
+
+func BenchmarkMulVecInto(b *testing.B) {
+	benchKernel(b, func(b *testing.B, m *CSR) func() {
+		v, dst := benchVec(m.Cols()), make([]float64, m.Rows())
+		return func() { _ = m.MulVecInto(v, dst) }
+	})
+}
+
+func BenchmarkVecMulInto(b *testing.B) {
+	benchKernel(b, func(b *testing.B, m *CSR) func() {
+		v, dst := benchVec(m.Rows()), make([]float64, m.Cols())
+		return func() { _ = m.VecMulInto(v, dst) }
+	})
+}
+
+func BenchmarkGSSweeps(b *testing.B) {
+	benchKernel(b, func(b *testing.B, m *CSR) func() {
+		invDiag := m.Diagonal()
+		for i, d := range invDiag {
+			invDiag[i] = 1 / (1 - d)
+		}
+		r, z := benchVec(m.Rows()), make([]float64, m.Rows())
+		return func() { gsSweepsInto(m, invDiag, r, z) }
+	})
+}
+
+func benchILU(b *testing.B, m *CSR) *iluFactors {
+	lu, err := factorILU0(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return lu
+}
+
+func BenchmarkILUApply(b *testing.B) {
+	benchKernel(b, func(b *testing.B, m *CSR) func() {
+		lu := benchILU(b, m)
+		r, z := benchVec(m.Rows()), make([]float64, m.Rows())
+		return func() { lu.apply(r, z) }
+	})
+}
+
+func BenchmarkILUApplyTransposed(b *testing.B) {
+	benchKernel(b, func(b *testing.B, m *CSR) func() {
+		lu := benchILU(b, m)
+		r, z := benchVec(m.Rows()), make([]float64, m.Rows())
+		return func() { lu.applyTransposed(r, z) }
+	})
+}

@@ -108,7 +108,7 @@ func (m *CSR) Dense() *Dense {
 	d := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
+			d.Set(i, int(m.colIdx[k]), m.vals[k])
 		}
 	}
 	return d
@@ -174,17 +174,42 @@ func (b *SparseBuilder) Build() *CSR {
 	m := &CSR{
 		rows:   b.rows,
 		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, len(merged)),
+		rowPtr: make([]uint32, b.rows+1),
+		colIdx: make([]uint32, len(merged)),
 		vals:   make([]float64, len(merged)),
 	}
 	for i, e := range merged {
 		m.rowPtr[e.row+1]++
-		m.colIdx[i] = e.col
+		m.colIdx[i] = uint32(e.col)
 		m.vals[i] = e.val
 	}
 	for r := 0; r < b.rows; r++ {
 		m.rowPtr[r+1] += m.rowPtr[r]
 	}
 	return m
+}
+
+// iluLeftReference is the ILU(0) left solve in its transposed-gather
+// form: BiCGSTAB on a stored copy of Mᵀ, each product computed row by row
+// of Mᵀ as a dot product. The production left solve scatters over the
+// rows of M instead and must match this bit for bit. It returns the
+// solution and the iteration count.
+func iluLeftReference(m *CSR, lu *iluFactors, b, x0 []float64) ([]float64, int, error) {
+	tb := NewSparseBuilder(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		m.RowNonZeros(i, func(j int, v float64) { _ = tb.Add(j, i, v) })
+	}
+	mT := tb.Build()
+	gather := func(x, dst []float64) error {
+		for j := range dst {
+			var s float64
+			for k := mT.rowPtr[j]; k < mT.rowPtr[j+1]; k++ {
+				s += mT.vals[k] * x[mT.colIdx[k]]
+			}
+			dst[j] = s
+		}
+		return nil
+	}
+	x, iters, _, err := bicgstab(m.rows, gather, lu.applyTransposed, b, x0, DefaultTol, DefaultBiCGSTABMaxIter)
+	return x, iters, err
 }

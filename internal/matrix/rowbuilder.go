@@ -18,14 +18,16 @@ import "fmt"
 type RowBuilder struct {
 	cols   int
 	rowPtr []int // rowPtr[r+1] = entries after sealing r rows; rowPtr[0] = 0
-	colIdx []int
+	colIdx []uint32
 	vals   []float64
 	// Scratch for the in-progress row, in emission order.
-	curCols []int
+	curCols []uint32
 	curVals []float64
 }
 
-// NewRowBuilder returns a builder for rows of the given width.
+// NewRowBuilder returns a builder for rows of the given width. A width
+// beyond the 32-bit index range is reported by ConcatRows, and Add rejects
+// every column past that range.
 func NewRowBuilder(cols int) *RowBuilder {
 	return &RowBuilder{cols: cols, rowPtr: []int{0}}
 }
@@ -33,13 +35,13 @@ func NewRowBuilder(cols int) *RowBuilder {
 // Add accumulates v at column j of the current row. Zero values are
 // dropped.
 func (b *RowBuilder) Add(j int, v float64) error {
-	if j < 0 || j >= b.cols {
+	if j < 0 || j >= b.cols || j > maxIndex {
 		return fmt.Errorf("matrix: row entry column %d out of bounds for width %d", j, b.cols)
 	}
 	if v == 0 {
 		return nil
 	}
-	b.curCols = append(b.curCols, j)
+	b.curCols = append(b.curCols, uint32(j))
 	b.curVals = append(b.curVals, v)
 	return nil
 }
@@ -48,7 +50,7 @@ func (b *RowBuilder) Add(j int, v float64) error {
 // duplicates summed in emission order, and the result appended to the
 // builder's CSR buffers. An empty row is legal.
 func (b *RowBuilder) EndRow() {
-	sortRowStable(b.curCols, b.curVals)
+	sortRow(b.curCols, b.curVals)
 	start := len(b.colIdx)
 	for i := 0; i < len(b.curCols); i++ {
 		if n := len(b.colIdx); n > start && b.colIdx[n-1] == b.curCols[i] {
@@ -69,26 +71,12 @@ func (b *RowBuilder) Rows() int { return len(b.rowPtr) - 1 }
 // Cols returns the row width.
 func (b *RowBuilder) Cols() int { return b.cols }
 
-// sortRowStable stably co-sorts one row's column indices and values by
-// column (insertion sort: rows are short, and moving only strictly-greater
-// elements keeps equal columns in emission order).
-func sortRowStable(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
-}
-
 // ConcatRows assembles a CSR matrix from consecutive row runs: part i
 // holds the rows immediately following those of part i−1. The assembly is
 // a deterministic concatenation — entries are copied in row order whatever
 // the number of parts — so splitting a build across workers cannot change
-// the result. Every part must have the width cols.
+// the result. Every part must have the width cols, and the matrix must fit
+// the 32-bit index range.
 func ConcatRows(cols int, parts ...*RowBuilder) (*CSR, error) {
 	rows, nnz := 0, 0
 	for i, p := range parts {
@@ -101,17 +89,20 @@ func ConcatRows(cols int, parts ...*RowBuilder) (*CSR, error) {
 		rows += p.Rows()
 		nnz += len(p.colIdx)
 	}
+	if err := checkIndexRange("ConcatRows", cols, nnz); err != nil {
+		return nil, err
+	}
 	m := &CSR{
 		rows:   rows,
 		cols:   cols,
-		rowPtr: make([]int, 1, rows+1),
-		colIdx: make([]int, 0, nnz),
+		rowPtr: make([]uint32, 1, rows+1),
+		colIdx: make([]uint32, 0, nnz),
 		vals:   make([]float64, 0, nnz),
 	}
 	for _, p := range parts {
 		base := len(m.colIdx)
-		for r := 1; r < len(p.rowPtr); r++ {
-			m.rowPtr = append(m.rowPtr, base+p.rowPtr[r])
+		for _, end := range p.rowPtr[1:] {
+			m.rowPtr = append(m.rowPtr, uint32(base+end))
 		}
 		m.colIdx = append(m.colIdx, p.colIdx...)
 		m.vals = append(m.vals, p.vals...)

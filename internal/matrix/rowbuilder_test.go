@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -131,5 +133,42 @@ func TestRowBuilderErrors(t *testing.T) {
 	}
 	if _, err := ConcatRows(3, rb, nil); err == nil {
 		t.Error("nil part: want error")
+	}
+}
+
+// TestIndexRangeGuard: a matrix wider than a 32-bit column index can
+// address, or with more entries than a 32-bit row pointer can count, is an
+// error, reported before anything of the matrix's size is allocated.
+func TestIndexRangeGuard(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("an int cannot exceed the 32-bit index range")
+	}
+	wide := maxIndex
+	wide += 2 // at run time, so the file also compiles where int is 32 bits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rb := NewRowBuilder(wide)
+	if err := rb.Add(wide-1, 1); err == nil {
+		t.Errorf("Add at column %d: want error", wide-1)
+	}
+	rb.EndRow()
+	if _, err := ConcatRows(wide, rb); err == nil {
+		t.Errorf("ConcatRows of width %d: want error", wide)
+	}
+	if _, err := (&CSR{rows: wide, cols: 1}).Transpose(); err == nil {
+		t.Errorf("Transpose of %d rows: want error", wide)
+	}
+	// SubCSR's output width is the length of its column selection and its
+	// entry count is known only after the counting pass; both go through
+	// the same check.
+	if err := checkIndexRange("SubCSR", 1, wide); err == nil {
+		t.Errorf("%d entries: want error", wide)
+	}
+	if err := checkIndexRange("SubCSR", maxIndex, maxIndex); err != nil {
+		t.Errorf("the largest representable matrix: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("the rejected constructions allocated %d bytes", grew)
 	}
 }

@@ -142,7 +142,8 @@ func (s SolveStats) Plus(o SolveStats) SolveStats {
 // left vector solves, each with an optional warm start, and the work
 // counters of all solves so far. A caller with several systems against
 // one block issues one vector solve per right-hand side; the block's
-// setup (LU factors, sparse transpose) is paid once, on first use.
+// setup (LU or ILU factors, the Gauss–Seidel-based backends' sparse
+// transpose) is paid once, on first use.
 // Implementations are not safe for concurrent use.
 type Factorization interface {
 	// SolveVec solves (I − M) x = b.
@@ -171,8 +172,12 @@ type Solver interface {
 	Factor(m *CSR) (Factorization, error)
 }
 
-// checkGuess validates a warm-start guess against the system order.
-func checkGuess(x0 []float64, n int) error {
+// checkSystem validates a right-hand side and a warm-start guess against
+// the system order.
+func checkSystem(b, x0 []float64, n int) error {
+	if len(b) != n {
+		return fmt.Errorf("matrix: solve rhs length %d does not match order %d", len(b), n)
+	}
 	if x0 != nil && len(x0) != n {
 		return fmt.Errorf("matrix: warm-start guess length %d does not match order %d", len(x0), n)
 	}
@@ -242,14 +247,14 @@ func (f *denseFactorization) SolveVecLeft(b []float64) ([]float64, error) {
 // SolveVecFrom validates and then discards the guess: direct solves have
 // no iteration to shorten.
 func (f *denseFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.a.Rows()); err != nil {
+	if err := checkSystem(b, x0, f.a.Rows()); err != nil {
 		return nil, err
 	}
 	return f.SolveVec(b)
 }
 
 func (f *denseFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.a.Rows()); err != nil {
+	if err := checkSystem(b, x0, f.a.Rows()); err != nil {
 		return nil, err
 	}
 	return f.SolveVecLeft(b)
@@ -296,8 +301,13 @@ func (s GaussSeidelSolver) Factor(m *CSR) (Factorization, error) {
 }
 
 type gsFactorization struct {
-	m       *CSR
-	mT      *CSR // lazily built transpose for left systems
+	m *CSR
+	// mT is the lazily built transpose for left systems. Unlike a
+	// product, a Gauss–Seidel sweep on Mᵀ cannot scatter over M's rows:
+	// each row of Mᵀ mixes iterates already updated in this sweep with
+	// old ones, in column order, and only the stored transpose keeps that
+	// summation order bit for bit.
+	mT      *CSR
 	diag    []float64
 	tol     float64
 	maxIter int
@@ -320,7 +330,11 @@ func (f *gsFactorization) SolveVecLeft(b []float64) ([]float64, error) {
 
 func (f *gsFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
 	if f.mT == nil {
-		f.mT = f.m.Transpose()
+		mT, err := f.m.Transpose()
+		if err != nil {
+			return nil, err
+		}
+		f.mT = mT
 	}
 	x, sweeps, err := gaussSeidel(f.mT, f.diag, b, x0, f.tol, f.maxIter)
 	f.iters += int64(sweeps)
@@ -334,18 +348,19 @@ func (f *gsFactorization) Stats() SolveStats {
 // gaussSeidel iterates x_i ← (b_i + Σ_{j≠i} M_ij x_j) / (1 − M_ii) until
 // the residual of (I−M)x = b satisfies ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
 // diag must be the diagonal of M (shared by M and Mᵀ). A nil x0 starts
-// from b (the natural first iterate for A ≈ I); the sweep count is
-// returned alongside the solution for work accounting.
+// from b (the natural first iterate for A ≈ I); a warm start with a zero
+// b returns the exact solution x = b = 0 without sweeping. The sweep
+// count is returned alongside the solution for work accounting.
 func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter int) ([]float64, int, error) {
 	n := m.Rows()
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("matrix: SolveVec rhs length %d does not match order %d", len(b), n)
-	}
-	if err := checkGuess(x0, n); err != nil {
+	if err := checkSystem(b, x0, n); err != nil {
 		return nil, 0, err
 	}
 	var x []float64
 	if x0 != nil {
+		if isZero(b) {
+			x0 = b // the exact solution; it passes the check below
+		}
 		x = append([]float64(nil), x0...)
 		// A warm start may already satisfy the criterion (e.g. re-solving
 		// a system from its own solution); check before sweeping.
@@ -355,13 +370,14 @@ func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter i
 	} else {
 		x = append([]float64(nil), b...)
 	}
+	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
 	for iter := 0; iter < maxIter; iter++ {
 		var maxDiff, maxX float64
 		for i := 0; i < n; i++ {
 			s := b[i]
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				if j := m.colIdx[k]; j != i {
-					s += m.vals[k] * x[j]
+			for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+				if j := int(colIdx[k]); j != i {
+					s += vals[k] * x[j]
 				}
 			}
 			nx := s / (1 - diag[i])
@@ -392,10 +408,11 @@ func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter i
 // when the solution is large, as it is for long-lived chains).
 func iMinusResidual(m *CSR, x, b []float64) (res, scale float64) {
 	var maxB, maxX float64
+	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
 	for i := 0; i < m.rows; i++ {
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
+		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+			s += vals[k] * x[colIdx[k]]
 		}
 		if r := math.Abs(b[i] - (x[i] - s)); r > res {
 			res = r
@@ -467,7 +484,7 @@ const bicgstabPrecondSweeps = 2
 
 type bicgstabFactorization struct {
 	m       *CSR
-	mT      *CSR      // lazily built transpose, for left systems
+	mT      *CSR      // lazily built transpose for left systems (see gsFactorization.mT)
 	invDiag []float64 // 1/(1−M_ii), shared by M and Mᵀ
 	tol     float64
 	maxIter int
@@ -482,9 +499,8 @@ func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
 	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
 	for i := 0; i < m.rows; i++ {
 		s := r[i]
-		end := rowPtr[i+1]
-		for k := rowPtr[i]; k < end; k++ {
-			if j := colIdx[k]; j < i {
+		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+			if j := int(colIdx[k]); j < i {
 				s += vals[k] * z[j]
 			}
 		}
@@ -493,9 +509,8 @@ func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
 	for sweep := 1; sweep < bicgstabPrecondSweeps; sweep++ {
 		for i := 0; i < m.rows; i++ {
 			s := r[i]
-			end := rowPtr[i+1]
-			for k := rowPtr[i]; k < end; k++ {
-				if j := colIdx[k]; j != i {
+			for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+				if j := int(colIdx[k]); j != i {
 					s += vals[k] * z[j]
 				}
 			}
@@ -508,24 +523,10 @@ func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
 // systems and Mᵀ for left ones (so both orientations see a plain
 // (I−a)x = b system).
 func (f *bicgstabFactorization) solve(b, x0 []float64, a *CSR) ([]float64, error) {
-	n := a.Rows()
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: solve rhs length %d does not match order %d", len(b), n)
-	}
-	if err := checkGuess(x0, n); err != nil {
-		return nil, err
-	}
-	tmp := make([]float64, n)
-	matvec := func(x, dst []float64) {
-		_ = a.MulVecInto(x, tmp)
-		for i := range dst {
-			dst[i] = x[i] - tmp[i]
-		}
-	}
 	precond := func(r, z []float64) {
 		gsSweepsInto(a, f.invDiag, r, z)
 	}
-	x, iters, _, err := bicgstab(matvec, precond, b, x0, f.tol, f.maxIter)
+	x, iters, _, err := bicgstab(a.Rows(), a.MulVecInto, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
 	return x, err
 }
@@ -544,7 +545,11 @@ func (f *bicgstabFactorization) SolveVecLeft(b []float64) ([]float64, error) {
 
 func (f *bicgstabFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
 	if f.mT == nil {
-		f.mT = f.m.Transpose()
+		mT, err := f.m.Transpose()
+		if err != nil {
+			return nil, err
+		}
+		f.mT = mT
 	}
 	return f.solve(b, x0, f.mT)
 }
@@ -554,19 +559,30 @@ func (f *bicgstabFactorization) Stats() SolveStats {
 }
 
 // bicgstab runs the preconditioned BiCGSTAB iteration of van der Vorst
-// for matvec(x) = b with preconditioner applications z ≈ A⁻¹r supplied
-// by precond, warm-started from x0 (nil starts from b). The stopping
-// rule is the true residual ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
+// for the order-n system (I − A)x = b, where mul computes the product
+// dst = A x and precond the preconditioner application z ≈ (I − A)⁻¹r.
+// It starts from x0, or from b when x0 is nil or b is zero (so a zero b
+// returns its exact solution x = 0 at iteration 0). The stopping rule is
+// the true residual ‖b − (I − A)x‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
 // Near-breakdowns (vanishing ρ or ω) restart the iteration from the
 // current iterate; the iteration and breakdown counts are returned for
 // work accounting and fallback diagnostics.
-func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, int, error) {
-	n := len(b)
+func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, int, error) {
+	if err := checkSystem(b, x0, n); err != nil {
+		return nil, 0, 0, err
+	}
+	tmp := make([]float64, n)
+	matvec := func(x, dst []float64) {
+		_ = mul(x, tmp)
+		for i := range dst {
+			dst[i] = x[i] - tmp[i]
+		}
+	}
 	var x []float64
-	if x0 != nil {
-		x = append([]float64(nil), x0...)
-	} else {
+	if x0 == nil || isZero(b) {
 		x = append([]float64(nil), b...)
+	} else {
+		x = append([]float64(nil), x0...)
 	}
 	r := make([]float64, n)
 	rhat := make([]float64, n)
@@ -675,6 +691,16 @@ func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0
 		return x, iters, breakdowns, nil
 	}
 	return nil, iters, breakdowns, &ConvergenceError{Method: "bicgstab", Iterations: iters, Breakdowns: breakdowns, N: n, Tol: tol}
+}
+
+// isZero reports whether every entry of v is zero.
+func isZero(v []float64) bool {
+	for _, a := range v {
+		if a != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // converged checks the true residual ‖b − op(x)‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞),

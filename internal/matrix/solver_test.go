@@ -317,3 +317,39 @@ func (f *countingFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, er
 }
 
 func (f *countingFactorization) Stats() SolveStats { return f.inner.Stats() }
+
+// TestZeroRHSWarmStart: a zero right-hand side has the exact solution
+// x = 0, and every iterative backend must return it at once even from a
+// nonzero guess, in both orientations (a warm start once drove BiCGSTAB
+// through its whole budget and Gauss–Seidel into subnormals).
+func TestZeroRHSWarmStart(t *testing.T) {
+	b := NewSparseBuilder(2, 2)
+	_ = b.Add(0, 0, 0.5)
+	_ = b.Add(0, 1, 0.25)
+	_ = b.Add(1, 0, 0.125)
+	_ = b.Add(1, 1, 0.75)
+	m := b.Build()
+	for _, kind := range []string{"bicgstab", "ilu", "gs", "auto"} {
+		s, err := SolverConfig{Kind: kind}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, left := range []bool{false, true} {
+			f := must(s.Factor(m))
+			solve := f.SolveVecFrom
+			if left {
+				solve = f.SolveVecLeftFrom
+			}
+			x, err := solve(make([]float64, 2), Ones(2))
+			if err != nil {
+				t.Fatalf("%s (left %t): %v", kind, left, err)
+			}
+			if x[0] != 0 || x[1] != 0 {
+				t.Errorf("%s (left %t): x = %v, want 0", kind, left, x)
+			}
+			if st := f.Stats(); st.Iterations != 0 || st.Fallbacks != 0 {
+				t.Errorf("%s (left %t): %d iterations, %d fallbacks; want none", kind, left, st.Iterations, st.Fallbacks)
+			}
+		}
+	}
+}

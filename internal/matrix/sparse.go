@@ -2,15 +2,38 @@ package matrix
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// CSR is a compressed sparse row matrix.
+// CSR is a compressed sparse row matrix. Row pointers and column indices
+// are stored as 32-bit integers: the solve kernels stream them on every
+// product, so their width sets the memory traffic and footprint of the
+// largest chains. Every constructor checks that the matrix fits
+// (checkIndexRange), so widening an index back to int is always exact.
 type CSR struct {
 	rows, cols int
-	rowPtr     []int
-	colIdx     []int
+	rowPtr     []uint32
+	colIdx     []uint32
 	vals       []float64
+}
+
+// maxIndex bounds the column count and the entry count of a CSR or an
+// ILU(0) factor. It is the int32 limit, not the uint32 one, so that a
+// stored index converts to a non-negative int on 32-bit platforms too.
+const maxIndex = math.MaxInt32
+
+// checkIndexRange reports an error when a matrix with cols columns and
+// nnz stored entries does not fit the 32-bit index arrays. Constructors
+// call it before they allocate.
+func checkIndexRange(op string, cols, nnz int) error {
+	if cols > maxIndex {
+		return fmt.Errorf("matrix: %s: %d columns exceed the 32-bit index range", op, cols)
+	}
+	if nnz > maxIndex {
+		return fmt.Errorf("matrix: %s: %d entries exceed the 32-bit index range", op, nnz)
+	}
+	return nil
 }
 
 // Rows returns the number of rows.
@@ -27,10 +50,9 @@ func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of bounds for %dx%d", i, j, m.rows, m.cols))
 	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
-		return m.vals[k]
+	lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
+	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], uint32(j)); ok {
+		return m.vals[lo+k]
 	}
 	return 0
 }
@@ -43,46 +65,24 @@ func (m *CSR) At(i, j int) float64 {
 // exactly what the serial/parallel construction equivalence guarantees
 // need.
 func (m *CSR) Equal(o *CSR) bool {
-	if m.rows != o.rows || m.cols != o.cols || len(m.vals) != len(o.vals) {
-		return false
-	}
-	for i := range m.rowPtr {
-		if m.rowPtr[i] != o.rowPtr[i] {
-			return false
-		}
-	}
-	for i := range m.colIdx {
-		if m.colIdx[i] != o.colIdx[i] {
-			return false
-		}
-	}
-	for i := range m.vals {
-		if m.vals[i] != o.vals[i] {
-			return false
-		}
-	}
-	return true
+	return m.rows == o.rows && m.cols == o.cols && slices.Equal(m.rowPtr, o.rowPtr) &&
+		slices.Equal(m.colIdx, o.colIdx) && slices.Equal(m.vals, o.vals)
 }
 
 // VecMul returns the row vector v * M.
 func (m *CSR) VecMul(v []float64) ([]float64, error) {
-	if len(v) != m.rows {
-		return nil, fmt.Errorf("matrix: CSR VecMul length %d does not match %d rows", len(v), m.rows)
-	}
 	out := make([]float64, m.cols)
-	for i, vv := range v {
-		if vv == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[m.colIdx[k]] += vv * m.vals[k]
-		}
+	if err := m.VecMulInto(v, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // VecMulInto computes v * M into dst, which must have length Cols.
-// It avoids allocation in hot iteration loops.
+// It avoids allocation in hot iteration loops. The rows are scattered in
+// ascending order, so every dst[j] sums its products in the order of the
+// dot product of row j of Mᵀ: the result is bit-identical to MulVecInto
+// on a stored transpose, without storing one.
 func (m *CSR) VecMulInto(v, dst []float64) error {
 	if len(v) != m.rows {
 		return fmt.Errorf("matrix: CSR VecMulInto length %d does not match %d rows", len(v), m.rows)
@@ -90,15 +90,14 @@ func (m *CSR) VecMulInto(v, dst []float64) error {
 	if len(dst) != m.cols {
 		return fmt.Errorf("matrix: CSR VecMulInto dst length %d does not match %d cols", len(dst), m.cols)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
+	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
 	for i, vv := range v {
 		if vv == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.colIdx[k]] += vv * m.vals[k]
+		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+			dst[colIdx[k]] += vv * vals[k]
 		}
 	}
 	return nil
@@ -126,23 +125,28 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("matrix: CSR MulVecInto dst length %d does not match %d rows", len(dst), m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
+	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
+	for i := range dst {
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * v[m.colIdx[k]]
+		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
+			s += vals[k] * v[colIdx[k]]
 		}
 		dst[i] = s
 	}
 	return nil
 }
 
-// Transpose returns Mᵀ as a new CSR, preserving sparsity.
-func (m *CSR) Transpose() *CSR {
+// Transpose returns Mᵀ as a new CSR, preserving sparsity. It fails only
+// when M has more rows than a column index can address.
+func (m *CSR) Transpose() (*CSR, error) {
+	if err := checkIndexRange("Transpose", m.rows, len(m.vals)); err != nil {
+		return nil, err
+	}
 	t := &CSR{
 		rows:   m.cols,
 		cols:   m.rows,
-		rowPtr: make([]int, m.cols+1),
-		colIdx: make([]int, len(m.vals)),
+		rowPtr: make([]uint32, m.cols+1),
+		colIdx: make([]uint32, len(m.vals)),
 		vals:   make([]float64, len(m.vals)),
 	}
 	for _, j := range m.colIdx {
@@ -151,17 +155,17 @@ func (m *CSR) Transpose() *CSR {
 	for r := 0; r < t.rows; r++ {
 		t.rowPtr[r+1] += t.rowPtr[r]
 	}
-	next := append([]int(nil), t.rowPtr[:t.rows]...)
+	next := slices.Clone(t.rowPtr[:t.rows])
 	for i := 0; i < m.rows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			j := m.colIdx[k]
 			p := next[j]
 			next[j]++
-			t.colIdx[p] = i
+			t.colIdx[p] = uint32(i)
 			t.vals[p] = m.vals[k]
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Diagonal returns the main diagonal as a vector of length min(rows, cols).
@@ -173,7 +177,7 @@ func (m *CSR) Diagonal() []float64 {
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if m.colIdx[k] == i {
+			if int(m.colIdx[k]) == i {
 				out[i] = m.vals[k]
 				break
 			}
@@ -188,7 +192,7 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 		panic(fmt.Sprintf("matrix: CSR row %d out of bounds for %d rows", i, m.rows))
 	}
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.vals[k])
+		fn(int(m.colIdx[k]), m.vals[k])
 	}
 }
 
@@ -199,6 +203,9 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 // index sets). A counting pass sizes the output exactly, so the copy
 // allocates its column and value slices once.
 func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
+	if err := checkIndexRange("SubCSR", len(colIdx), 0); err != nil {
+		return nil, err
+	}
 	colPos := make([]int, m.cols)
 	for i := range colPos {
 		colPos[i] = -1
@@ -224,18 +231,21 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 			}
 		}
 	}
+	if err := checkIndexRange("SubCSR", 0, nnz); err != nil {
+		return nil, err
+	}
 	out := &CSR{
 		rows:   len(rowIdx),
 		cols:   len(colIdx),
-		rowPtr: make([]int, len(rowIdx)+1),
-		colIdx: make([]int, 0, nnz),
+		rowPtr: make([]uint32, len(rowIdx)+1),
+		colIdx: make([]uint32, 0, nnz),
 		vals:   make([]float64, 0, nnz),
 	}
 	for p, r := range rowIdx {
 		rowStart := len(out.vals)
 		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
 			if q := colPos[m.colIdx[k]]; q >= 0 {
-				out.colIdx = append(out.colIdx, q)
+				out.colIdx = append(out.colIdx, uint32(q))
 				out.vals = append(out.vals, m.vals[k])
 			}
 		}
@@ -244,14 +254,16 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 			// order; restore the CSR invariant for this row.
 			sortRow(out.colIdx[rowStart:], out.vals[rowStart:])
 		}
-		out.rowPtr[p+1] = len(out.vals)
+		out.rowPtr[p+1] = uint32(len(out.vals))
 	}
 	return out, nil
 }
 
-// sortRow co-sorts one row's column indices and values (rows are short, so
-// an insertion sort beats sort.Sort's interface overhead).
-func sortRow(cols []int, vals []float64) {
+// sortRow stably co-sorts one row's column indices and values by column
+// (insertion sort: rows are short, so it beats sort.Sort's interface
+// overhead, and moving only strictly greater elements keeps equal columns
+// in their original order).
+func sortRow(cols []uint32, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1

@@ -275,21 +275,21 @@ func TestSubCSRReorderedColumns(t *testing.T) {
 // selected row and each selected column, in selection order (so output
 // columns ascend), look the entry up by a scan of the stored row.
 func subCSRReference(m *CSR, rowIdx, colIdx []int) *CSR {
-	out := &CSR{rows: len(rowIdx), cols: len(colIdx), rowPtr: make([]int, len(rowIdx)+1)}
+	out := &CSR{rows: len(rowIdx), cols: len(colIdx), rowPtr: make([]uint32, len(rowIdx)+1)}
 	for p, r := range rowIdx {
-		var cols []int
+		var cols []uint32
 		var vals []float64
 		for q, c := range colIdx {
 			for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-				if m.colIdx[k] == c {
-					cols = append(cols, q)
+				if int(m.colIdx[k]) == c {
+					cols = append(cols, uint32(q))
 					vals = append(vals, m.vals[k])
 				}
 			}
 		}
 		out.colIdx = append(out.colIdx, cols...)
 		out.vals = append(out.vals, vals...)
-		out.rowPtr[p+1] = len(out.vals)
+		out.rowPtr[p+1] = uint32(len(out.vals))
 	}
 	return out
 }
@@ -335,7 +335,10 @@ func TestCSRTranspose(t *testing.T) {
 			_ = b.Add(r.Intn(rows), r.Intn(cols), 2*r.Float64()-1)
 		}
 		m := b.Build()
-		mt := m.Transpose()
+		mt, err := m.Transpose()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if mt.Rows() != cols || mt.Cols() != rows || mt.NNZ() != m.NNZ() {
 			t.Fatalf("transpose shape %dx%d nnz %d, want %dx%d nnz %d",
 				mt.Rows(), mt.Cols(), mt.NNZ(), cols, rows, m.NNZ())
