@@ -148,6 +148,13 @@ func (l Label) Matches(id identity.ID) bool {
 	return (l.bits^id.Prefix64())&mask == 0
 }
 
+// PrefixLabel returns the label made of id's leading n bits, the one
+// label of length n that id Matches. It requires
+// 0 ≤ n ≤ min(MaxLabelBits, id.Bits()).
+func PrefixLabel(id identity.ID, n int) Label {
+	return Label{bits: id.Prefix64() &^ (^uint64(0) >> n), length: n}
+}
+
 // Distance is the paper's distance D between an identifier and a cluster
 // label: the number of label bits not matched by the identifier's prefix
 // (0 when the peer is valid for the cluster). Among a set of clusters,

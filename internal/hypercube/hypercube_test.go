@@ -328,3 +328,34 @@ func TestMatchesWordEqualsBitLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixLabelEqualsChildWalk checks PrefixLabel against the label
+// built one identifier bit at a time, for every length up to the
+// identifier width or 64, at widths that cut bytes and words.
+func TestPrefixLabelEqualsChildWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, m := range []int{1, 7, 8, 13, 61, 64, 65, 128, 256} {
+		var digest [32]byte
+		rng.Read(digest[:])
+		id, err := identity.NewID(digest, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := RootLabel()
+		for n := 0; n <= min(m, MaxLabelBits); n++ {
+			if got := PrefixLabel(id, n); !got.Equal(want) || !got.Matches(id) {
+				t.Fatalf("PrefixLabel(m=%d id %v, %d) = %v, want %v", m, id, n, got, want)
+			}
+			if n == min(m, MaxLabelBits) {
+				break
+			}
+			bit, err := id.Bit(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err = want.Child(bit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -154,16 +154,6 @@ func (idn *Identity) Certificate() *Certificate { return idn.cert }
 // InitialID returns id0.
 func (idn *Identity) InitialID() ID { return idn.id0 }
 
-// CurrentID returns idq = H(id0 × k) for the incarnation at time t with
-// identifier lifetime L.
-func (idn *Identity) CurrentID(t, lifetime float64) (ID, int64, error) {
-	k, err := Incarnation(t, idn.cert.CreatedAt, lifetime)
-	if err != nil {
-		return ID{}, 0, err
-	}
-	return DeriveID(idn.id0, k), k, nil
-}
-
 // ExpiresAt returns when the incarnation valid at time t expires.
 func (idn *Identity) ExpiresAt(t, lifetime float64) (float64, error) {
 	k, err := Incarnation(t, idn.cert.CreatedAt, lifetime)

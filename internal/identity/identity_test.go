@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// CurrentID returns idq = H(id0 × k) for the incarnation at time t with
+// identifier lifetime L: the identifier a peer claims at time t.
+func (idn *Identity) CurrentID(t, lifetime float64) (ID, int64, error) {
+	k, err := Incarnation(t, idn.cert.CreatedAt, lifetime)
+	if err != nil {
+		return ID{}, 0, err
+	}
+	return DeriveID(idn.id0, k), k, nil
+}
+
 func newCA(t *testing.T) *CA {
 	t.Helper()
 	ca, err := NewCA("test-ca", 1)

@@ -1,7 +1,9 @@
 package overlaynet
 
 import (
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"targetedattacks/internal/adversary"
 	"targetedattacks/internal/core"
@@ -233,4 +235,57 @@ func TestHugeBootstrapFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, n)
+}
+
+// TestPeerRecordSize guards the peer record's size class: a 10⁶-peer
+// overlay holds one record per peer, so 8 more bytes cost 10 MB.
+func TestPeerRecordSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the bound is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Peer{}); got > 96 {
+		t.Errorf("Peer is %d bytes, want ≤ 96", got)
+	}
+}
+
+// bootstrapConfig is a FastIdentity overlay sized for the given
+// population.
+func bootstrapConfig(peers int) Config {
+	return Config{
+		Params:           core.Params{C: 7, Delta: 7, Mu: 0.1, D: 0.9, K: 1, Nu: 0.1},
+		IDBits:           64,
+		InitialLabelBits: LabelBitsForPopulation(peers, 7, 7),
+		FastIdentity:     true,
+		Seed:             7,
+	}
+}
+
+// TestBootstrapAllocationsScaleWithClusters checks that bootstrap peers
+// cost no allocation of their own: the records share one slab and no
+// identifier is built until read. A cluster costs its record, its two
+// member slices and its share of the label index.
+func TestBootstrapAllocationsScaleWithClusters(t *testing.T) {
+	cfg := bootstrapConfig(10000)
+	clusters := 1 << cfg.InitialLabelBits
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 4*clusters + 200; allocs > float64(limit) {
+		t.Errorf("bootstrap of %d clusters made %.0f allocations, want ≤ %d",
+			clusters, allocs, limit)
+	}
+}
+
+// BenchmarkBootstrap builds a 10⁵-peer FastIdentity overlay; allocs/op
+// should scale with its 2^13 clusters, not with its peers.
+func BenchmarkBootstrap(b *testing.B) {
+	cfg := bootstrapConfig(100000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

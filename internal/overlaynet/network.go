@@ -232,6 +232,9 @@ type Network struct {
 	// labels to slots so the operation path never hashes a string.
 	clusters []*Cluster
 	byLabel  map[hypercube.Label]int32
+	// depthCount counts clusters by label length, so findCluster probes
+	// only the depths that hold one.
+	depthCount [hypercube.MaxLabelBits + 1]int32
 
 	// peers is the slot-indexed registry of live peers: expiry events
 	// carry the slot as their payload. Records of departed peers are
@@ -239,6 +242,9 @@ type Network struct {
 	peers    []*Peer
 	peerFree []int32
 	pool     []*Peer
+	// zeroID is the all-zero identifier of the configured width, the
+	// starting value of every peer record's identifier.
+	zeroID identity.ID
 
 	expiryKind des.Kind
 
@@ -275,6 +281,10 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	zeroID, err := identity.NewID([32]byte{}, cfg.IDBits)
+	if err != nil {
+		return nil, err
+	}
 	n := &Network{
 		cfg:     cfg,
 		ca:      ca,
@@ -283,6 +293,7 @@ func New(cfg Config) (*Network, error) {
 		adv:     adv,
 		byLabel: make(map[hypercube.Label]int32),
 		gen:     gen,
+		zeroID:  zeroID,
 	}
 	kind, err := n.engine.RegisterKind(n.handleExpiry)
 	if err != nil {
@@ -302,6 +313,8 @@ func New(cfg Config) (*Network, error) {
 // equivalent to the rejection sampling of earlier versions conditioned
 // on the balanced fill, and it is what makes 10^6-peer bootstraps
 // feasible: rejection over 2^20 labels is a coupon-collector blowup.
+// The peer records share one slab, and each identifier is derived only
+// when first read (Peer.ID): a run touches a few percent of them.
 func (n *Network) bootstrap() error {
 	labels := []hypercube.Label{hypercube.RootLabel()}
 	for b := 0; b < n.cfg.InitialLabelBits; b++ {
@@ -321,6 +334,7 @@ func (n *Network) bootstrap() error {
 	}
 	target := n.cfg.Params.C + n.cfg.Params.Delta/2
 	n.clusters = make([]*Cluster, 0, len(labels))
+	slab := make([]Peer, len(labels)*target)
 	for _, l := range labels {
 		cl := &Cluster{Label: l}
 		n.addCluster(cl)
@@ -331,11 +345,13 @@ func (n *Network) bootstrap() error {
 		cl.Core = make([]*Peer, 0, n.cfg.Params.C)
 		cl.Spare = make([]*Peer, 0, target-n.cfg.Params.C)
 		for i := 0; i < target; i++ {
-			p, err := n.newPeer(n.rng.Float64() < n.cfg.Params.Mu, n.rng.Int63())
-			if err != nil {
+			p := &slab[0]
+			slab = slab[1:]
+			if err := n.initPeer(p, n.rng.Float64() < n.cfg.Params.Mu, n.rng.Int63()); err != nil {
 				return err
 			}
-			p.CurrentID = probeID(l, p.CurrentID)
+			p.id = p.id.WithPrefix(l.Prefix64(), l.Length())
+			p.prefixBits = uint8(l.Length())
 			if i < n.cfg.Params.C {
 				cl.Core = append(cl.Core, p)
 			} else {
@@ -353,46 +369,33 @@ func (n *Network) bootstrap() error {
 // Population returns the total number of overlay members.
 func (n *Network) Population() int { return n.population }
 
-// newPeer registers a fresh peer. In RealTime mode the certificate
-// creation time is backdated uniformly within one lifetime so
-// incarnation expiries are staggered. Records of departed peers are
-// recycled, so steady-state churn allocates no new peers.
-func (n *Network) newPeer(malicious bool, seed int64) (*Peer, error) {
+// initPeer fills the record p for a peer registered now and enters it in
+// the registry. The incarnation number is set at once, since RealTime
+// expiry scheduling reads it; the identifier is left pending for Peer.ID.
+// In RealTime mode the certificate creation time is backdated uniformly
+// within one lifetime so incarnation expiries are staggered.
+func (n *Network) initPeer(p *Peer, malicious bool, seed int64) error {
 	n.peerSeq++
-	t0 := n.engine.Now()
+	now := n.engine.Now()
+	t0 := now
 	if n.cfg.Mode == RealTime {
 		// Backdating staggers incarnation expiries; a negative t0 models
 		// a certificate issued before the simulation started.
 		t0 -= n.rng.Float64() * n.cfg.Lifetime
 	}
-	var p *Peer
-	if k := len(n.pool); k > 0 {
-		p = n.pool[k-1]
-		n.pool = n.pool[:k-1]
-		*p = Peer{}
-	} else {
-		p = &Peer{}
-	}
-	p.Seq = n.peerSeq
-	p.Malicious = malicious
-	p.t0 = t0
-	if n.cfg.FastIdentity {
-		id0, err := fastInitialID(seed, n.cfg.IDBits)
-		if err != nil {
-			return nil, err
-		}
-		p.id0 = id0
-	} else {
+	*p = Peer{Seq: n.peerSeq, Malicious: malicious, id: n.zeroID, t0: t0, seed: seed, pending: true}
+	if !n.cfg.FastIdentity {
 		idn, err := identity.NewIdentity(n.ca, fmt.Sprintf("peer-%d", n.peerSeq), t0, n.cfg.IDBits, seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.Identity = idn
-		p.id0 = idn.InitialID()
 	}
-	if err := p.Refresh(n.engine.Now(), n.cfg.Lifetime); err != nil {
-		return nil, err
+	k, err := identity.Incarnation(now, t0, n.cfg.Lifetime)
+	if err != nil {
+		return fmt.Errorf("overlaynet: incarnation of %s: %w", p.Name(), err)
 	}
+	p.Incarnation = k
 	if k := len(n.peerFree); k > 0 {
 		p.slot = n.peerFree[k-1]
 		n.peerFree = n.peerFree[:k-1]
@@ -402,7 +405,7 @@ func (n *Network) newPeer(malicious bool, seed int64) (*Peer, error) {
 		n.peers = append(n.peers, p)
 	}
 	n.population++
-	return p, nil
+	return nil
 }
 
 // releasePeer retires a departed peer: its pending expiry (if any) is
@@ -418,29 +421,19 @@ func (n *Network) releasePeer(p *Peer) {
 	n.population--
 }
 
-// findCluster locates the unique cluster whose label prefixes id by
-// walking prefixes of increasing length through the interned label
-// index.
+// findCluster locates the unique cluster whose label prefixes id. The
+// labels form a prefix-free partition, so at most one depth matches;
+// only depths that hold a cluster are probed.
 func (n *Network) findCluster(id identity.ID) (*Cluster, error) {
-	l := hypercube.RootLabel()
-	for depth := 0; depth <= hypercube.MaxLabelBits; depth++ {
-		if slot, ok := n.byLabel[l]; ok {
-			cl := n.clusters[slot]
-			if !cl.Label.Matches(id) {
-				return nil, fmt.Errorf("overlaynet: cluster %v does not match id %v", cl.Label, id)
-			}
-			return cl, nil
-		}
-		if depth == hypercube.MaxLabelBits {
+	for depth, count := range n.depthCount[:] {
+		if depth > id.Bits() {
 			break
 		}
-		bit, err := id.Bit(depth)
-		if err != nil {
-			return nil, err
+		if count == 0 {
+			continue
 		}
-		l, err = l.Child(bit)
-		if err != nil {
-			return nil, err
+		if slot, ok := n.byLabel[hypercube.PrefixLabel(id, depth)]; ok {
+			return n.clusters[slot], nil
 		}
 	}
 	return nil, fmt.Errorf("overlaynet: no cluster matches id %v", id)
@@ -517,9 +510,17 @@ func (n *Network) rebalancedKind(ev churn.Event) churn.Kind {
 }
 
 // handleJoin implements the join operation of Section IV plus Rule 2.
+// Records of departed peers are recycled, so steady-state churn
+// allocates no new peers.
 func (n *Network) handleJoin(malicious bool, seed int64) error {
-	p, err := n.newPeer(malicious, seed)
-	if err != nil {
+	var p *Peer
+	if k := len(n.pool); k > 0 {
+		p = n.pool[k-1]
+		n.pool = n.pool[:k-1]
+	} else {
+		p = &Peer{}
+	}
+	if err := n.initPeer(p, malicious, seed); err != nil {
 		return err
 	}
 	accepted, err := n.joinPeer(p, true)
@@ -537,7 +538,7 @@ func (n *Network) handleJoin(malicious bool, seed int64) error {
 // it). churnEvent marks joins driven by the churn workload, which tick
 // the target cluster's chain age.
 func (n *Network) joinPeer(p *Peer, churnEvent bool) (bool, error) {
-	cl, err := n.findCluster(p.CurrentID)
+	cl, err := n.findCluster(p.ID())
 	if err != nil {
 		return false, err
 	}

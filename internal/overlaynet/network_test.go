@@ -1,9 +1,12 @@
 package overlaynet
 
 import (
+	"math/rand"
 	"testing"
 
 	"targetedattacks/internal/core"
+	"targetedattacks/internal/hypercube"
+	"targetedattacks/internal/identity"
 )
 
 func config(mu, d float64) Config {
@@ -52,9 +55,14 @@ func checkInvariants(t *testing.T, n *Network) {
 		// Membership: every member's identifier matches the label
 		// (Property 1 in ModelFidelity mode holds by construction).
 		for _, p := range append(append([]*Peer(nil), cl.Core...), cl.Spare...) {
-			if !cl.Label.Matches(p.CurrentID) {
+			// expirePeer routes a pending peer by its stored prefix.
+			if p.pending && !cl.Label.Matches(p.id) {
+				t.Errorf("%v: pending member %v prefix %v does not match label",
+					cl, p, p.id)
+			}
+			if !cl.Label.Matches(p.ID()) {
 				t.Errorf("%v: member %v id %v does not match label",
-					cl, p, p.CurrentID)
+					cl, p, p.ID())
 			}
 		}
 	}
@@ -357,5 +365,74 @@ func TestProtocolKVariants(t *testing.T) {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		checkInvariants(t, n)
+	}
+}
+
+// findClusterWalk is the reference lookup: walk down from the root
+// label one identifier bit at a time until a live label matches.
+func findClusterWalk(n *Network, id identity.ID) *Cluster {
+	l := hypercube.RootLabel()
+	for depth := 0; ; depth++ {
+		if slot, ok := n.byLabel[l]; ok {
+			return n.clusters[slot]
+		}
+		bit, err := id.Bit(depth)
+		if err != nil {
+			return nil
+		}
+		if l, err = l.Child(bit); err != nil {
+			return nil
+		}
+	}
+}
+
+// TestFindClusterMatchesWalk compares findCluster, which probes only the
+// label depths that hold a cluster, with the root-down walk, on random
+// identifiers and on every live peer, while splits and merges move the
+// labels across depths. It also recounts the per-depth cluster counts.
+func TestFindClusterMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := config(0.2, 0.9)
+		cfg.IDBits = 61
+		cfg.InitialLabelBits = 5
+		cfg.FastIdentity = true
+		cfg.StationaryPopulation = true
+		cfg.Seed = seed
+		n := newNetwork(t, cfg)
+		keys := rand.New(rand.NewSource(seed))
+		for round := 0; round < 8; round++ {
+			if err := n.Run(400); err != nil {
+				t.Fatal(err)
+			}
+			var depths [hypercube.MaxLabelBits + 1]int32
+			for _, cl := range n.clusters {
+				depths[cl.Label.Length()]++
+			}
+			if depths != n.depthCount {
+				t.Fatalf("seed %d: depth counts %v, recount %v", seed, n.depthCount, depths)
+			}
+			for i := 0; i < 300; i++ {
+				var digest [32]byte
+				keys.Read(digest[:])
+				id, err := identity.NewID(digest, cfg.IDBits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := n.findCluster(id)
+				if want := findClusterWalk(n, id); err != nil || got != want {
+					t.Fatalf("seed %d: findCluster(%v) = %v, %v; walk finds %v", seed, id, got, err, want)
+				}
+			}
+			for _, cl := range n.clusters {
+				for _, p := range append(append([]*Peer(nil), cl.Core...), cl.Spare...) {
+					if got, err := n.findCluster(p.ID()); err != nil || got != cl {
+						t.Fatalf("seed %d: member %v of %v routed to %v, %v", seed, p, cl, got, err)
+					}
+				}
+			}
+		}
+		if m := n.Metrics(); m.Splits == 0 || m.Merges == 0 {
+			t.Errorf("seed %d: no topology change to test against: %+v", seed, m)
+		}
 	}
 }

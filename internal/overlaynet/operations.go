@@ -179,7 +179,7 @@ func (n *Network) split(cl *Cluster) error {
 	}
 	children := [2]*Cluster{{Label: c0}, {Label: c1}}
 	assign := func(p *Peer, isCore bool) error {
-		bit, err := p.CurrentID.Bit(cl.Label.Length())
+		bit, err := p.ID().Bit(cl.Label.Length())
 		if err != nil {
 			return err
 		}
@@ -326,7 +326,13 @@ func (n *Network) handleExpiry(now float64, payload uint64) {
 // valid for its cluster, so its neighbors cut the connection; the peer
 // refreshes its incarnation and rejoins at the matching cluster.
 func (n *Network) expirePeer(p *Peer) error {
-	cl, err := n.findCluster(p.CurrentID)
+	// Route by p.id, not p.ID(): a pending bootstrap peer holds its
+	// bootstrap cluster's label there, and Advance replaces the
+	// identifier right after, so deriving it here would be thrown away.
+	// That cluster has not split since (a split reads every member's
+	// ID) and merges only shorten labels, so the label still leads to
+	// the peer's cluster.
+	cl, err := n.findCluster(p.id)
 	if err != nil {
 		return err
 	}
@@ -399,6 +405,7 @@ func (n *Network) addCluster(cl *Cluster) {
 	cl.slot = int32(len(n.clusters))
 	n.clusters = append(n.clusters, cl)
 	n.byLabel[cl.Label] = cl.slot
+	n.depthCount[cl.Label.Length()]++
 }
 
 // removeCluster swap-deletes the cluster from the dense slice in O(1).
@@ -410,6 +417,7 @@ func (n *Network) removeCluster(cl *Cluster) {
 	n.clusters[last] = nil
 	n.clusters = n.clusters[:last]
 	delete(n.byLabel, cl.Label)
+	n.depthCount[cl.Label.Length()]--
 	if moved != cl {
 		n.byLabel[moved.Label] = moved.slot
 	}

@@ -44,17 +44,24 @@ type Peer struct {
 	// Identity holds the certificate and signing key; nil in
 	// FastIdentity mode, where identifiers derive from a seeded hash.
 	Identity *identity.Identity
-	// Malicious marks peers controlled by the adversary.
-	Malicious bool
-	// CurrentID is the identifier of the peer's current incarnation.
-	CurrentID identity.ID
-	// Incarnation is the incarnation number of CurrentID.
+	// Incarnation is the incarnation number of the current identifier.
 	Incarnation int64
 
-	id0    identity.ID // initial identifier (Property 1 hash chain root)
+	// id is the current identifier, read through ID. While pending, it
+	// holds only the leading prefixBits bits the bootstrap forced.
+	id     identity.ID
 	t0     float64     // certificate creation time
-	slot   int32       // index in the network's peer registry
+	seed   int64       // churn seed of the FastIdentity hash chain root
 	expiry des.EventID // pending incarnation-expiry event (RealTime), 0 if none
+	slot   int32       // index in the network's peer registry
+
+	// Malicious marks peers controlled by the adversary.
+	Malicious bool
+
+	// pending defers the identifier to its first read: a run never
+	// routes, splits or expires most bootstrap peers.
+	pending    bool
+	prefixBits uint8
 }
 
 // Name returns the peer's unique diagnostic name.
@@ -62,23 +69,36 @@ func (p *Peer) Name() string { return fmt.Sprintf("peer-%d", p.Seq) }
 
 // fastInitialID derives a FastIdentity peer's id0 from its churn seed:
 // a uniform m-bit identifier without the ed25519 certificate walk.
-func fastInitialID(seed int64, m int) (identity.ID, error) {
+func fastInitialID(seed int64, m int) identity.ID {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(seed))
 	copy(buf[8:], "fast-id0")
-	return identity.NewID(sha256.Sum256(buf[:]), m)
+	id, err := identity.NewID(sha256.Sum256(buf[:]), m)
+	if err != nil {
+		// m is the width of an identifier already built, so it is valid.
+		panic(fmt.Sprintf("overlaynet: fastInitialID: %v", err))
+	}
+	return id
 }
 
-// Refresh recomputes the peer's identifier for the incarnation current at
-// time t with identifier lifetime L.
-func (p *Peer) Refresh(t, lifetime float64) error {
-	k, err := identity.Incarnation(t, p.t0, lifetime)
-	if err != nil {
-		return fmt.Errorf("overlaynet: refreshing %s: %w", p.Name(), err)
+// initialID returns id0, the root of the peer's Property 1 hash chain.
+func (p *Peer) initialID() identity.ID {
+	if p.Identity != nil {
+		return p.Identity.InitialID()
 	}
-	p.CurrentID = identity.DeriveID(p.id0, k)
-	p.Incarnation = k
-	return nil
+	return fastInitialID(p.seed, p.id.Bits())
+}
+
+// ID returns the identifier of the peer's current incarnation, derived
+// on first read: the hash chain value for the incarnation, with the
+// leading prefixBits bits of a bootstrap peer forced to its cluster's
+// label.
+func (p *Peer) ID() identity.ID {
+	if p.pending {
+		p.id = identity.DeriveID(p.initialID(), p.Incarnation).WithPrefix(p.id.Prefix64(), int(p.prefixBits))
+		p.pending = false
+	}
+	return p.id
 }
 
 // ExpiresAt returns when the peer's current incarnation expires.
@@ -89,11 +109,13 @@ func (p *Peer) ExpiresAt(lifetime float64) float64 {
 // Advance moves the peer to its next incarnation — the paper's Property 1
 // rejoin rule: "the kth incarnation of a peer p expires when p's local
 // clock reads t0 + kL; at this time p must rejoin the system using its
-// (k+1)th incarnation". Refresh cannot be used at the expiry instant
-// itself because ⌈(t−t0)/L⌉ still yields k on the boundary.
+// (k+1)th incarnation". The incarnation number cannot be recomputed from
+// the clock at the expiry instant itself because ⌈(t−t0)/L⌉ still yields
+// k on the boundary.
 func (p *Peer) Advance() {
 	p.Incarnation++
-	p.CurrentID = identity.DeriveID(p.id0, p.Incarnation)
+	p.id = identity.DeriveID(p.initialID(), p.Incarnation)
+	p.pending = false
 }
 
 // String renders the peer for diagnostics.

@@ -230,10 +230,7 @@ func BenchmarkProbeID(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	key, err := fastInitialID(7, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
+	key := fastInitialID(7, 64)
 	var sink identity.ID
 	for b.Loop() {
 		sink = probeID(label, key)

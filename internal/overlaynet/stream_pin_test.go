@@ -1,6 +1,7 @@
 package overlaynet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -64,6 +65,62 @@ func TestStreamPins(t *testing.T) {
 			got := fmt.Sprintf("%+v %+v", n.Metrics(), n.Snapshot())
 			if got != pin.want {
 				t.Errorf("stream moved:\n got  %s\n want %s", got, pin.want)
+			}
+		})
+	}
+}
+
+// identifierPins extends the stream pins to the identifiers themselves:
+// a wrong identifier that still routes to the same cluster moves no
+// counter, but it moves the digest of every live peer's identifier.
+// The RealTime runs advance bootstrap peers through expiries, so the
+// Property 1 hash chain is checked from its first incarnation on, in
+// both identity modes.
+var identifierPins = []struct {
+	name   string
+	fast   bool
+	mode   Mode
+	bits   int // identifier width m
+	labels int // InitialLabelBits
+	events int
+	want   string
+}{
+	{"fast/realtime", true, RealTime, 100, 8, 30,
+		"{Events:30 Joins:1503 DiscardedJoins:226 Leaves:8 RefusedLeaves:7 VoluntaryLeaves:0 ExpiryLeaves:1714 Splits:273 Merges:307 DeferredSplits:330 DeferredMerges:11 CoreUnderflows:100 ConsensusRuns:0} {Time:31.373209018772425 Clusters:222 PollutedClusters:49 Peers:2341 MaliciousPeers:542 MinLabelBits:7 MaxLabelBits:9 PollutedFraction:0.22072072072072071} 8899424ede868b9e95d999ba91bf4fd90f1ec9805884e5aae1f4eb008eff3d92"},
+	{"fast/model", true, ModelFidelity, 64, 8, 4000,
+		"{Events:4000 Joins:1592 DiscardedJoins:404 Leaves:1600 RefusedLeaves:404 VoluntaryLeaves:0 ExpiryLeaves:0 Splits:227 Merges:263 DeferredSplits:415 DeferredMerges:10 CoreUnderflows:115 ConsensusRuns:0} {Time:0 Clusters:220 PollutedClusters:85 Peers:2552 MaliciousPeers:830 MinLabelBits:7 MaxLabelBits:9 PollutedFraction:0.38636363636363635} ec8b4ba054cf11d363fff91dbcb0c15c11a4fa01df37b0550cb3d8ce9d464a3a"},
+	{"certificate/realtime", false, RealTime, 128, 4, 25,
+		"{Events:25 Joins:90 DiscardedJoins:17 Leaves:9 RefusedLeaves:3 VoluntaryLeaves:0 ExpiryLeaves:94 Splits:10 Merges:12 DeferredSplits:17 DeferredMerges:0 CoreUnderflows:3 ConsensusRuns:0} {Time:26.385495584119614 Clusters:14 PollutedClusters:2 Peers:147 MaliciousPeers:35 MinLabelBits:3 MaxLabelBits:5 PollutedFraction:0.14285714285714285} 4921c53b4ae4b16e46f40643174f376ffa06b76a1621c2ad55c642e1b9e2ecdd"},
+}
+
+// TestIdentifierPins runs small overlays and pins their Metrics,
+// Snapshot and a sha256 digest over every live peer's cluster label,
+// sequence number, incarnation and identifier.
+func TestIdentifierPins(t *testing.T) {
+	for _, pin := range identifierPins {
+		t.Run(pin.name, func(t *testing.T) {
+			cfg := Config{
+				Params:               core.Params{C: 7, Delta: 7, Mu: 0.2, D: 0.9, K: 1, Nu: 0.1},
+				IDBits:               pin.bits,
+				InitialLabelBits:     pin.labels,
+				FastIdentity:         pin.fast,
+				Mode:                 pin.mode,
+				StationaryPopulation: true,
+				Seed:                 5,
+			}
+			n := newNetwork(t, cfg)
+			if err := n.Run(pin.events); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, cl := range n.Clusters() {
+				for _, p := range append(append([]*Peer(nil), cl.Core...), cl.Spare...) {
+					fmt.Fprintf(h, "%v %d %d %v\n", cl.Label, p.Seq, p.Incarnation, p.ID())
+				}
+			}
+			got := fmt.Sprintf("%+v %+v %x", n.Metrics(), n.Snapshot(), h.Sum(nil))
+			if got != pin.want {
+				t.Errorf("identifiers moved:\n got  %s\n want %s", got, pin.want)
 			}
 		})
 	}
