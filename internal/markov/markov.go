@@ -12,8 +12,9 @@
 // (the paper's safe set S and polluted set P); the remaining states form
 // named absorbing classes.
 //
-// The pipeline is sparse end-to-end: the blocks of the transition matrix
-// are carved directly out of the CSR, every relation is routed through the
+// The pipeline is sparse end-to-end: the transient block T is carved
+// directly out of the CSR, its four blocks M_A, M_AB, M_BA and M_B are
+// views of T rather than copies, every relation is routed through the
 // pluggable matrix.Solver interface, and nothing is densified unless the
 // dense LU backend itself is selected. Factorizations and the shared
 // visits vector α_T(I−T)⁻¹ are cached on the Chain and reused across
@@ -23,14 +24,16 @@ package markov
 
 import (
 	"fmt"
+	"slices"
 
 	"targetedattacks/internal/matrix"
 )
 
 // Chain is an absorbing discrete-time Markov chain whose transient states
-// are split into two subsets. All CSR blocks are extracted once at
-// construction; the analytic methods are then pure (sparse) linear
-// algebra. A Chain caches factorizations and shared solves, so its
+// are split into two subsets. Construction extracts the transient block
+// T once, views its four blocks in place, and reduces each absorbing
+// class to its exit masses; the analytic methods are then pure (sparse)
+// linear algebra. A Chain caches factorizations and shared solves, so its
 // methods are not safe for concurrent use, with one exception: the
 // methods on I−T (ExpectedTotalTimeInA, ExpectedTotalTimeInB and
 // AbsorptionProbabilities) may run on one goroutine while the methods
@@ -39,18 +42,16 @@ import (
 // fields, so their results are bit-identical to a serial run. Nothing
 // else may run concurrently, and SeedWarmStart must come before both.
 type Chain struct {
-	// Block decomposition of the transition matrix restricted to the
-	// transient states, in the (A, B) order.
-	ma, mab, mba, mb *matrix.CSR
-	// tt is the full transient block T = [[M_A, M_AB], [M_BA, M_B]].
-	tt *matrix.CSR
-	// absorbing[class] holds the |A|+|B| by |class| block of transitions
-	// from transient states into that absorbing class.
-	absorbing map[string]*matrix.CSR
-	classes   []string // deterministic iteration order
-	alphaA    []float64
-	alphaB    []float64
-	nA, nB    int
+	// tt is the transient block T = [[M_A, M_AB], [M_BA, M_B]] in the
+	// (A, B) order, the chain's one copy of its transitions; ma, mab,
+	// mba and mb are block views of it (matrix.CSR.Blocks).
+	tt, ma, mab, mba, mb *matrix.CSR
+	// exits[k] is R_U·1 for the absorbing class U = classes[k].
+	exits   []exitMass
+	classes []string // deterministic iteration order
+	alphaA  []float64
+	alphaB  []float64
+	nA, nB  int
 
 	solver matrix.Solver
 	// Cached factorizations of I−M_A, I−M_B, I−T and the shared visits
@@ -166,8 +167,10 @@ type Spec struct {
 	Solver matrix.Solver
 }
 
-// NewChain validates a Spec and extracts the CSR blocks used by all
-// analytic computations. The full matrix is never densified.
+// NewChain validates a Spec, extracts the transient block T with its
+// block views, and computes the exit masses of every absorbing class.
+// The full matrix is never densified, and the Chain keeps no reference
+// to it.
 func NewChain(spec Spec) (*Chain, error) {
 	if spec.Full == nil {
 		return nil, fmt.Errorf("markov: Spec.Full is nil")
@@ -207,47 +210,31 @@ func NewChain(spec Spec) (*Chain, error) {
 	if err := mark(spec.SubsetB, "B"); err != nil {
 		return nil, err
 	}
-	for _, name := range spec.ClassOrder {
+	for k, name := range spec.ClassOrder {
 		idx, ok := spec.AbsorbingClasses[name]
 		if !ok {
 			return nil, fmt.Errorf("markov: ClassOrder names unknown class %q", name)
+		}
+		if slices.Contains(spec.ClassOrder[:k], name) {
+			return nil, fmt.Errorf("markov: ClassOrder lists class %q twice", name)
 		}
 		if err := mark(idx, name); err != nil {
 			return nil, err
 		}
 	}
 
-	sub := spec.Full.SubCSR
-	ma, err := sub(spec.SubsetA, spec.SubsetA)
-	if err != nil {
-		return nil, err
-	}
-	mab, err := sub(spec.SubsetA, spec.SubsetB)
-	if err != nil {
-		return nil, err
-	}
-	mba, err := sub(spec.SubsetB, spec.SubsetA)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := sub(spec.SubsetB, spec.SubsetB)
-	if err != nil {
-		return nil, err
-	}
 	transient := make([]int, 0, len(spec.SubsetA)+len(spec.SubsetB))
 	transient = append(transient, spec.SubsetA...)
 	transient = append(transient, spec.SubsetB...)
-	tt, err := sub(transient, transient)
+	// T's rows and columns follow transient, so A's columns come first in
+	// every column-sorted row and the blocks are row ranges of T.
+	tt, err := spec.Full.SubCSR(transient, transient)
 	if err != nil {
 		return nil, err
 	}
-	abs := make(map[string]*matrix.CSR, len(spec.AbsorbingClasses))
-	for name, idx := range spec.AbsorbingClasses {
-		blk, err := sub(transient, idx)
-		if err != nil {
-			return nil, err
-		}
-		abs[name] = blk
+	ma, mab, mba, mb, err := tt.Blocks(len(spec.SubsetA))
+	if err != nil {
+		return nil, err
 	}
 	solver := spec.Solver
 	if solver == nil {
@@ -255,15 +242,50 @@ func NewChain(spec Spec) (*Chain, error) {
 	}
 	c := &Chain{
 		ma: ma, mab: mab, mba: mba, mb: mb, tt: tt,
-		absorbing: abs,
-		classes:   append([]string(nil), spec.ClassOrder...),
-		alphaA:    pick(spec.Alpha, spec.SubsetA),
-		alphaB:    pick(spec.Alpha, spec.SubsetB),
-		nA:        len(spec.SubsetA),
-		nB:        len(spec.SubsetB),
-		solver:    solver,
+		exits:   exitMasses(spec.Full, transient, owner, len(spec.ClassOrder)),
+		classes: append([]string(nil), spec.ClassOrder...),
+		alphaA:  pick(spec.Alpha, spec.SubsetA),
+		alphaB:  pick(spec.Alpha, spec.SubsetB),
+		nA:      len(spec.SubsetA),
+		nB:      len(spec.SubsetB),
+		solver:  solver,
 	}
 	return c, nil
+}
+
+// exitMass is R_U·1 for one absorbing class U, stored sparse: mass[q]
+// is the one-step probability of moving from transient state rows[q]
+// (its position in the (A, B) order; rows ascend) into U.
+type exitMass struct {
+	rows []int
+	mass []float64
+}
+
+// exitMasses computes the exit masses of all nClasses absorbing classes
+// in one pass over the transient rows of full; owner labels class k of
+// ClassOrder as 3+k (after A and B). Each row adds its entries into a
+// class in stored column order, the order in which RowSums adds them on
+// the extracted block SubCSR(transient, U) when U's index list ascends.
+// Leaving out a zero mass drops a zero term, which changes no finite
+// sum, so the relations read the bits of dense R_U·1 vectors.
+func exitMasses(full *matrix.CSR, transient []int, owner []int32, nClasses int) []exitMass {
+	exits := make([]exitMass, nClasses)
+	sum := make([]float64, nClasses)
+	for p, r := range transient {
+		full.RowNonZeros(r, func(j int, v float64) {
+			if k := owner[j] - 3; k >= 0 {
+				sum[k] += v
+			}
+		})
+		for k, s := range sum {
+			if s != 0 {
+				exits[k].rows = append(exits[k].rows, p)
+				exits[k].mass = append(exits[k].mass, s)
+				sum[k] = 0
+			}
+		}
+	}
+	return exits
 }
 
 func pick(v []float64, idx []int) []float64 {
@@ -578,12 +600,13 @@ func (c *Chain) AbsorptionProbabilities() (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(c.absorbing))
-	for _, name := range c.classes {
-		// R_U 1 is the per-transient-row mass flowing into class U.
-		p, err := matrix.Dot(y, c.absorbing[name].RowSums())
-		if err != nil {
-			return nil, err
+	out := make(map[string]float64, len(c.classes))
+	for k, name := range c.classes {
+		// The dot product of y with R_U 1, over the rows that reach U.
+		var p float64
+		e := c.exits[k]
+		for q, r := range e.rows {
+			p += float64(y[r] * e.mass[q])
 		}
 		out[name] = p
 	}
@@ -592,8 +615,8 @@ func (c *Chain) AbsorptionProbabilities() (map[string]float64, error) {
 
 // AbsorbedWithinA returns the probability that the chain reaches one of
 // the named absorbing classes along a path that never leaves subset A:
-// α_A (I − M_A)⁻¹ R^A 1, with R^A the rows of the class blocks
-// corresponding to subset A. Initial mass on subset B contributes
+// α_A (I − M_A)⁻¹ R^A 1, with R^A 1 the classes' exit masses from the
+// states of subset A. Initial mass on subset B contributes
 // nothing. It separates "dies clean" from "was ever dirty":
 // P(ever in B ∪ other classes) = 1 − AbsorbedWithinA(clean classes).
 func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
@@ -602,12 +625,16 @@ func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
 	}
 	rhs := make([]float64, c.nA)
 	for _, name := range classes {
-		blk, ok := c.absorbing[name]
-		if !ok {
+		k := slices.Index(c.classes, name)
+		if k < 0 {
 			return 0, fmt.Errorf("markov: unknown absorbing class %q", name)
 		}
-		for i, s := range blk.RowSums()[:c.nA] {
-			rhs[i] += s
+		e := c.exits[k]
+		for q, r := range e.rows {
+			if r >= c.nA {
+				break
+			}
+			rhs[r] += e.mass[q]
 		}
 	}
 	fa, err := c.factA()

@@ -122,7 +122,7 @@ func Dot(a, b []float64) (float64, error) {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s, nil
 }

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -46,15 +45,9 @@ func (ILUSolver) Name() string { return "ilu" }
 // factorization is cheap — O(Σ_rows nnz(row)²) — and every solve needs
 // it).
 func (s ILUSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultBiCGSTABMaxIter
+	tol, maxIter, err := iterativeControls(m, s.Tol, s.MaxIter, DefaultBiCGSTABMaxIter)
+	if err != nil {
+		return nil, err
 	}
 	lu, err := factorILU0(m)
 	if err != nil {
@@ -139,7 +132,7 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 			lu.vals[k] = lik
 			for kk := lu.diag[kcol] + 1; kk < lu.rowPtr[kcol+1]; kk++ {
 				if p := pos[lu.colIdx[kk]]; p != 0 {
-					lu.vals[p-1] -= lik * lu.vals[kk]
+					lu.vals[p-1] -= float64(lik * lu.vals[kk])
 				}
 			}
 		}
@@ -160,7 +153,7 @@ func (lu *iluFactors) apply(r, z []float64) {
 	for i := 0; i < lu.n; i++ {
 		s := r[i]
 		for k, d := int(rowPtr[i]), int(diag[i]); k < d; k++ {
-			s -= vals[k] * z[colIdx[k]]
+			s -= float64(vals[k] * z[colIdx[k]])
 		}
 		z[i] = s
 	}
@@ -168,7 +161,7 @@ func (lu *iluFactors) apply(r, z []float64) {
 		s := z[i]
 		d := int(diag[i])
 		for k, end := d+1, int(rowPtr[i+1]); k < end; k++ {
-			s -= vals[k] * z[colIdx[k]]
+			s -= float64(vals[k] * z[colIdx[k]])
 		}
 		z[i] = s / vals[d]
 	}
@@ -187,13 +180,13 @@ func (lu *iluFactors) applyTransposed(r, z []float64) {
 		z[i] /= vals[d]
 		wi := z[i]
 		for k, end := d+1, int(rowPtr[i+1]); k < end; k++ {
-			z[colIdx[k]] -= vals[k] * wi
+			z[colIdx[k]] -= float64(vals[k] * wi)
 		}
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		zi := z[i]
 		for k, d := int(rowPtr[i]), int(diag[i]); k < d; k++ {
-			z[colIdx[k]] -= vals[k] * zi
+			z[colIdx[k]] -= float64(vals[k] * zi)
 		}
 	}
 }
@@ -201,6 +194,7 @@ func (lu *iluFactors) applyTransposed(r, z []float64) {
 type iluFactorization struct {
 	m       *CSR
 	lu      *iluFactors
+	work    bicgWork
 	tol     float64
 	maxIter int
 	iters   int64
@@ -211,10 +205,9 @@ type iluFactorization struct {
 // product with Mᵀ — for left ones), with the matching preconditioner
 // orientation.
 func (f *iluFactorization) solve(b, x0 []float64, mul func(x, dst []float64) error, precond func(r, z []float64)) ([]float64, error) {
-	x, iters, _, err := bicgstab(f.lu.n, mul, precond, b, x0, f.tol, f.maxIter)
+	x, iters, _, err := f.work.bicgstab(f.lu.n, mul, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
-	var ce *ConvergenceError
-	if errors.As(err, &ce) {
+	if ce, ok := err.(*ConvergenceError); ok {
 		ce.Method = "ilu-bicgstab"
 	}
 	return x, err

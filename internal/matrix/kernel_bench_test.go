@@ -10,7 +10,10 @@ import (
 // ILU(0) applications. They run on a deterministic banded substochastic
 // matrix at the transient-block sizes of the C=∆=40 sweep cells (33,579)
 // and of the C=∆=100 cell (509,949), so a change of index width or loop
-// shape can be sized per kernel before it is sized end to end.
+// shape can be sized per kernel before it is sized end to end. The View
+// variants run the product and sweep kernels on the same matrix read as
+// a block view with a column offset (bandedView), the way a chain's
+// solves read M_A, M_AB, M_BA and M_B out of T.
 
 // kernelSizes names the benchmarked orders.
 var kernelSizes = []struct {
@@ -71,13 +74,50 @@ func benchVec(n int) []float64 {
 	return v
 }
 
-// benchKernel runs kernel once per iteration on the matrix of every
-// benchmarked size; setup, given the matrix, prepares the kernel outside
-// the timer.
+// viewLead is the order of the leading block that bandedView places
+// before the benchmark matrix, and so the view's column offset.
+const viewLead = 1024
+
+// bandedView returns the benchmark matrix of order n as the trailing
+// diagonal block view of a matrix of order viewLead+n, as M_B sits in T:
+// each of its rows follows one entry left of the split, so its rows are
+// not contiguous, and its columns carry the offset viewLead.
+func bandedView(tb testing.TB, n int) *CSR {
+	tb.Helper()
+	m := bandedSubstochastic(tb, n)
+	b := NewRowBuilder(viewLead + n)
+	for i := 0; i < viewLead; i++ {
+		_ = b.Add(i, 0.5)
+		b.EndRow()
+	}
+	for i := 0; i < n; i++ {
+		_ = b.Add(i%viewLead, 0.01)
+		m.RowNonZeros(i, func(j int, v float64) { _ = b.Add(viewLead+j, v) })
+		b.EndRow()
+	}
+	t, err := ConcatRows(viewLead+n, b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, _, _, view, err := t.Blocks(viewLead)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return view
+}
+
+// benchKernel runs kernel once per iteration on the owned benchmark
+// matrix of every benchmarked size; setup, given the matrix, prepares
+// the kernel outside the timer.
 func benchKernel(b *testing.B, setup func(b *testing.B, m *CSR) func()) {
+	benchKernelOn(b, bandedSubstochastic, setup)
+}
+
+// benchKernelOn is benchKernel on the matrices that build returns.
+func benchKernelOn(b *testing.B, build func(testing.TB, int) *CSR, setup func(b *testing.B, m *CSR) func()) {
 	for _, sz := range kernelSizes {
 		b.Run(fmt.Sprintf("%s/n=%d", sz.name, sz.n), func(b *testing.B) {
-			kernel := setup(b, bandedSubstochastic(b, sz.n))
+			kernel := setup(b, build(b, sz.n))
 			b.ReportAllocs()
 			for b.Loop() {
 				kernel()
@@ -86,30 +126,31 @@ func benchKernel(b *testing.B, setup func(b *testing.B, m *CSR) func()) {
 	}
 }
 
-func BenchmarkMulVecInto(b *testing.B) {
-	benchKernel(b, func(b *testing.B, m *CSR) func() {
-		v, dst := benchVec(m.Cols()), make([]float64, m.Rows())
-		return func() { _ = m.MulVecInto(v, dst) }
-	})
+func mulVecKernel(b *testing.B, m *CSR) func() {
+	v, dst := benchVec(m.Cols()), make([]float64, m.Rows())
+	return func() { _ = m.MulVecInto(v, dst) }
 }
 
-func BenchmarkVecMulInto(b *testing.B) {
-	benchKernel(b, func(b *testing.B, m *CSR) func() {
-		v, dst := benchVec(m.Rows()), make([]float64, m.Cols())
-		return func() { _ = m.VecMulInto(v, dst) }
-	})
+func vecMulKernel(b *testing.B, m *CSR) func() {
+	v, dst := benchVec(m.Rows()), make([]float64, m.Cols())
+	return func() { _ = m.VecMulInto(v, dst) }
 }
 
-func BenchmarkGSSweeps(b *testing.B) {
-	benchKernel(b, func(b *testing.B, m *CSR) func() {
-		invDiag := m.Diagonal()
-		for i, d := range invDiag {
-			invDiag[i] = 1 / (1 - d)
-		}
-		r, z := benchVec(m.Rows()), make([]float64, m.Rows())
-		return func() { gsSweepsInto(m, invDiag, r, z) }
-	})
+func gsSweepsKernel(b *testing.B, m *CSR) func() {
+	invDiag := m.Diagonal()
+	for i, d := range invDiag {
+		invDiag[i] = 1 / (1 - d)
+	}
+	r, z := benchVec(m.Rows()), make([]float64, m.Rows())
+	return func() { gsSweepsInto(m, invDiag, r, z) }
 }
+
+func BenchmarkMulVecInto(b *testing.B)     { benchKernel(b, mulVecKernel) }
+func BenchmarkMulVecIntoView(b *testing.B) { benchKernelOn(b, bandedView, mulVecKernel) }
+func BenchmarkVecMulInto(b *testing.B)     { benchKernel(b, vecMulKernel) }
+func BenchmarkVecMulIntoView(b *testing.B) { benchKernelOn(b, bandedView, vecMulKernel) }
+func BenchmarkGSSweeps(b *testing.B)       { benchKernel(b, gsSweepsKernel) }
+func BenchmarkGSSweepsView(b *testing.B)   { benchKernelOn(b, bandedView, gsSweepsKernel) }
 
 func benchILU(b *testing.B, m *CSR) *iluFactors {
 	lu, err := factorILU0(m)

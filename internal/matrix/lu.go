@@ -56,7 +56,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			rr := lu.RowView(r)
 			cr := lu.RowView(col)
 			for j := col + 1; j < n; j++ {
-				rr[j] -= m * cr[j]
+				rr[j] -= float64(m * cr[j])
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 		row := f.lu.RowView(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -95,7 +95,7 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 		row := f.lu.RowView(i)
 		s := x[i]
 		for j := i + 1; j < f.n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s / row[i]
 	}
@@ -115,7 +115,7 @@ func (f *LU) SolveVecTransposed(b []float64) ([]float64, error) {
 	for i := 0; i < f.n; i++ {
 		s := y[i]
 		for j := 0; j < i; j++ {
-			s -= f.lu.At(j, i) * y[j]
+			s -= float64(f.lu.At(j, i) * y[j])
 		}
 		y[i] = s / f.lu.At(i, i)
 	}
@@ -123,7 +123,7 @@ func (f *LU) SolveVecTransposed(b []float64) ([]float64, error) {
 	for i := f.n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < f.n; j++ {
-			s -= f.lu.At(j, i) * y[j]
+			s -= float64(f.lu.At(j, i) * y[j])
 		}
 		y[i] = s
 	}

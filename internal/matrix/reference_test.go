@@ -95,9 +95,7 @@ func (m *CSR) MulVec(v []float64) ([]float64, error) {
 	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * v[m.colIdx[k]]
-		}
+		m.RowNonZeros(i, func(j int, a float64) { s += float64(a * v[j]) })
 		out[i] = s
 	}
 	return out, nil
@@ -107,9 +105,7 @@ func (m *CSR) MulVec(v []float64) ([]float64, error) {
 func (m *CSR) Dense() *Dense {
 	d := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, int(m.colIdx[k]), m.vals[k])
-		}
+		m.RowNonZeros(i, func(j int, a float64) { d.Set(i, j, a) })
 	}
 	return d
 }
@@ -171,22 +167,18 @@ func (b *SparseBuilder) Build() *CSR {
 		merged = append(merged, e)
 	}
 	b.entries = merged
-	m := &CSR{
-		rows:   b.rows,
-		cols:   b.cols,
-		rowPtr: make([]uint32, b.rows+1),
-		colIdx: make([]uint32, len(merged)),
-		vals:   make([]float64, len(merged)),
-	}
+	rowPtr := make([]uint32, b.rows+1)
+	colIdx := make([]uint32, len(merged))
+	vals := make([]float64, len(merged))
 	for i, e := range merged {
-		m.rowPtr[e.row+1]++
-		m.colIdx[i] = uint32(e.col)
-		m.vals[i] = e.val
+		rowPtr[e.row+1]++
+		colIdx[i] = uint32(e.col)
+		vals[i] = e.val
 	}
 	for r := 0; r < b.rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
+		rowPtr[r+1] += rowPtr[r]
 	}
-	return m
+	return ownedCSR(b.rows, b.cols, rowPtr, colIdx, vals)
 }
 
 // iluLeftReference is the ILU(0) left solve in its transposed-gather
@@ -203,13 +195,12 @@ func iluLeftReference(m *CSR, lu *iluFactors, b, x0 []float64) ([]float64, int, 
 	gather := func(x, dst []float64) error {
 		for j := range dst {
 			var s float64
-			for k := mT.rowPtr[j]; k < mT.rowPtr[j+1]; k++ {
-				s += mT.vals[k] * x[mT.colIdx[k]]
-			}
+			mT.RowNonZeros(j, func(i int, a float64) { s += float64(a * x[i]) })
 			dst[j] = s
 		}
 		return nil
 	}
-	x, iters, _, err := bicgstab(m.rows, gather, lu.applyTransposed, b, x0, DefaultTol, DefaultBiCGSTABMaxIter)
+	var work bicgWork
+	x, iters, _, err := work.bicgstab(m.rows, gather, lu.applyTransposed, b, x0, DefaultTol, DefaultBiCGSTABMaxIter)
 	return x, iters, err
 }

@@ -92,20 +92,16 @@ func ConcatRows(cols int, parts ...*RowBuilder) (*CSR, error) {
 	if err := checkIndexRange("ConcatRows", cols, nnz); err != nil {
 		return nil, err
 	}
-	m := &CSR{
-		rows:   rows,
-		cols:   cols,
-		rowPtr: make([]uint32, 1, rows+1),
-		colIdx: make([]uint32, 0, nnz),
-		vals:   make([]float64, 0, nnz),
-	}
+	rowPtr := make([]uint32, 1, rows+1)
+	colIdx := make([]uint32, 0, nnz)
+	vals := make([]float64, 0, nnz)
 	for _, p := range parts {
-		base := len(m.colIdx)
+		base := len(colIdx)
 		for _, end := range p.rowPtr[1:] {
-			m.rowPtr = append(m.rowPtr, uint32(base+end))
+			rowPtr = append(rowPtr, uint32(base+end))
 		}
-		m.colIdx = append(m.colIdx, p.colIdx...)
-		m.vals = append(m.vals, p.vals...)
+		colIdx = append(colIdx, p.colIdx...)
+		vals = append(vals, p.vals...)
 	}
-	return m, nil
+	return ownedCSR(rows, cols, rowPtr, colIdx, vals), nil
 }

@@ -172,6 +172,21 @@ type Solver interface {
 	Factor(m *CSR) (Factorization, error)
 }
 
+// iterativeControls checks that m is square and resolves an iterative
+// backend's zero controls to their defaults.
+func iterativeControls(m *CSR, tol float64, maxIter, defaultMaxIter int) (float64, int, error) {
+	if m.Rows() != m.Cols() {
+		return 0, 0, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
+	}
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	if maxIter <= 0 {
+		maxIter = defaultMaxIter
+	}
+	return tol, maxIter, nil
+}
+
 // checkSystem validates a right-hand side and a warm-start guess against
 // the system order.
 func checkSystem(b, x0 []float64, n int) error {
@@ -281,15 +296,9 @@ func (GaussSeidelSolver) Name() string { return "gauss-seidel" }
 
 // Factor implements Solver.
 func (s GaussSeidelSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultGSMaxIter
+	tol, maxIter, err := iterativeControls(m, s.Tol, s.MaxIter, DefaultGSMaxIter)
+	if err != nil {
+		return nil, err
 	}
 	diag := m.Diagonal()
 	for i, d := range diag {
@@ -356,6 +365,13 @@ func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter i
 	if err := checkSystem(b, x0, n); err != nil {
 		return nil, 0, err
 	}
+	tmp, scratch := make([]float64, n), make([]float64, n)
+	iMinusM := func(x, dst []float64) {
+		_ = m.MulVecInto(x, tmp)
+		for i := range dst {
+			dst[i] = x[i] - tmp[i]
+		}
+	}
 	var x []float64
 	if x0 != nil {
 		if isZero(b) {
@@ -364,20 +380,22 @@ func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter i
 		x = append([]float64(nil), x0...)
 		// A warm start may already satisfy the criterion (e.g. re-solving
 		// a system from its own solution); check before sweeping.
-		if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
+		if converged(iMinusM, x, b, scratch, tol) {
 			return x, 0, nil
 		}
 	} else {
 		x = append([]float64(nil), b...)
 	}
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
+	start, end, off := m.start[:n], m.end[:n], m.colOff
 	for iter := 0; iter < maxIter; iter++ {
 		var maxDiff, maxX float64
-		for i := 0; i < n; i++ {
+		for i := range start {
+			cols, vs := m.colIdx[start[i]:end[i]], m.vals[start[i]:end[i]]
+			vs = vs[:len(cols)]
 			s := b[i]
-			for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-				if j := int(colIdx[k]); j != i {
-					s += vals[k] * x[j]
+			for k, c := range cols {
+				if j := int(c - off); j != i {
+					s += float64(vs[k] * x[j])
 				}
 			}
 			nx := s / (1 - diag[i])
@@ -392,39 +410,15 @@ func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter i
 		// The sweep has stagnated; confirm with the true residual (the
 		// update norm underestimates the error for slowly mixing chains).
 		if maxDiff <= tol*(1+maxX) {
-			if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
+			if converged(iMinusM, x, b, scratch, tol) {
 				return x, iter + 1, nil
 			}
 		}
 	}
-	if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
+	if converged(iMinusM, x, b, scratch, tol) {
 		return x, maxIter, nil
 	}
 	return nil, maxIter, &ConvergenceError{Method: "gauss-seidel", Iterations: maxIter, N: n, Tol: tol}
-}
-
-// iMinusResidual returns ‖b − (I−M)x‖∞ and the convergence scale
-// ‖b‖∞ + ‖x‖∞ (a backward-error-style criterion that stays achievable
-// when the solution is large, as it is for long-lived chains).
-func iMinusResidual(m *CSR, x, b []float64) (res, scale float64) {
-	var maxB, maxX float64
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-			s += vals[k] * x[colIdx[k]]
-		}
-		if r := math.Abs(b[i] - (x[i] - s)); r > res {
-			res = r
-		}
-		if a := math.Abs(b[i]); a > maxB {
-			maxB = a
-		}
-		if a := math.Abs(x[i]); a > maxX {
-			maxX = a
-		}
-	}
-	return res, maxB + maxX + 1e-300
 }
 
 // ---------------------------------------------------------------------------
@@ -455,15 +449,9 @@ func (BiCGSTABSolver) Name() string { return "bicgstab" }
 
 // Factor implements Solver.
 func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultBiCGSTABMaxIter
+	tol, maxIter, err := iterativeControls(m, s.Tol, s.MaxIter, DefaultBiCGSTABMaxIter)
+	if err != nil {
+		return nil, err
 	}
 	diag := m.Diagonal()
 	invDiag := make([]float64, len(diag))
@@ -486,6 +474,7 @@ type bicgstabFactorization struct {
 	m       *CSR
 	mT      *CSR      // lazily built transpose for left systems (see gsFactorization.mT)
 	invDiag []float64 // 1/(1−M_ii), shared by M and Mᵀ
+	work    bicgWork
 	tol     float64
 	maxIter int
 	iters   int64
@@ -494,24 +483,32 @@ type bicgstabFactorization struct {
 // gsSweepsInto writes into z the result of bicgstabPrecondSweeps forward
 // Gauss–Seidel sweeps for (I−M)z = r starting from z = 0: the
 // preconditioner application z = P⁻¹r. The first sweep skips the
-// all-zero z reads.
+// all-zero z reads. Like the products, it ranges over each row's column
+// and value slices: with row bounds and a column offset in play, an
+// index counter over the bounds spills the loop state to the stack and
+// ran slower in the kernel micro-benchmarks (BenchmarkGSSweeps*).
 func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
-	for i := 0; i < m.rows; i++ {
+	start, end, off := m.start, m.end[:len(m.start)], m.colOff
+	r, invDiag = r[:len(start)], invDiag[:len(start)]
+	for i := range start {
+		cols, vs := m.colIdx[start[i]:end[i]], m.vals[start[i]:end[i]]
+		vs = vs[:len(cols)]
 		s := r[i]
-		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-			if j := int(colIdx[k]); j < i {
-				s += vals[k] * z[j]
+		for k, c := range cols {
+			if j := int(c - off); j < i {
+				s += float64(vs[k] * z[j])
 			}
 		}
 		z[i] = s * invDiag[i]
 	}
 	for sweep := 1; sweep < bicgstabPrecondSweeps; sweep++ {
-		for i := 0; i < m.rows; i++ {
+		for i := range start {
+			cols, vs := m.colIdx[start[i]:end[i]], m.vals[start[i]:end[i]]
+			vs = vs[:len(cols)]
 			s := r[i]
-			for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-				if j := int(colIdx[k]); j != i {
-					s += vals[k] * z[j]
+			for k, c := range cols {
+				if j := int(c - off); j != i {
+					s += float64(vs[k] * z[j])
 				}
 			}
 			z[i] = s * invDiag[i]
@@ -526,7 +523,7 @@ func (f *bicgstabFactorization) solve(b, x0 []float64, a *CSR) ([]float64, error
 	precond := func(r, z []float64) {
 		gsSweepsInto(a, f.invDiag, r, z)
 	}
-	x, iters, _, err := bicgstab(a.Rows(), a.MulVecInto, precond, b, x0, f.tol, f.maxIter)
+	x, iters, _, err := f.work.bicgstab(a.Rows(), a.MulVecInto, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
 	return x, err
 }
@@ -558,6 +555,13 @@ func (f *bicgstabFactorization) Stats() SolveStats {
 	return SolveStats{Backend: "bicgstab", Iterations: f.iters}
 }
 
+// bicgWork is the BiCGSTAB workspace of one factorization: the nine
+// work vectors of the iteration, allocated by its first solve and reused
+// by every later one. The iteration writes each vector before it reads
+// it, so reuse cannot change a result, and a factorization serves one
+// goroutine at a time, so no two solves share the vectors at once.
+type bicgWork [9][]float64
+
 // bicgstab runs the preconditioned BiCGSTAB iteration of van der Vorst
 // for the order-n system (I − A)x = b, where mul computes the product
 // dst = A x and precond the preconditioner application z ≈ (I − A)⁻¹r.
@@ -566,12 +570,18 @@ func (f *bicgstabFactorization) Stats() SolveStats {
 // the true residual ‖b − (I − A)x‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
 // Near-breakdowns (vanishing ρ or ω) restart the iteration from the
 // current iterate; the iteration and breakdown counts are returned for
-// work accounting and fallback diagnostics.
-func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, int, error) {
+// work accounting and fallback diagnostics. The returned x is a fresh
+// slice, which callers may keep (warm-start records do).
+func (w *bicgWork) bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, int, error) {
 	if err := checkSystem(b, x0, n); err != nil {
 		return nil, 0, 0, err
 	}
-	tmp := make([]float64, n)
+	if len(w[0]) != n {
+		for i := range w {
+			w[i] = make([]float64, n)
+		}
+	}
+	tmp, r, rhat, v, p, phat, s, shat, t := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
 	matvec := func(x, dst []float64) {
 		_ = mul(x, tmp)
 		for i := range dst {
@@ -584,22 +594,13 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 	} else {
 		x = append([]float64(nil), x0...)
 	}
-	r := make([]float64, n)
-	rhat := make([]float64, n)
-	v := make([]float64, n)
-	p := make([]float64, n)
-	phat := make([]float64, n)
-	s := make([]float64, n)
-	shat := make([]float64, n)
-	t := make([]float64, n)
-
 	breakdowns := 0
 	restart := func() float64 {
 		matvec(x, r)
 		var norm float64
 		for i := range r {
 			r[i] = b[i] - r[i]
-			norm += r[i] * r[i]
+			norm += float64(r[i] * r[i])
 		}
 		copy(rhat, r)
 		copy(p, r)
@@ -625,7 +626,7 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 		matvec(phat, v)
 		var rhatV float64
 		for i := range v {
-			rhatV += rhat[i] * v[i]
+			rhatV += float64(rhat[i] * v[i])
 		}
 		if math.Abs(rhatV) < breakdown {
 			breakdowns++
@@ -634,14 +635,14 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 		}
 		alpha := rho / rhatV
 		for i := range s {
-			s[i] = r[i] - alpha*v[i]
+			s[i] = r[i] - float64(alpha*v[i])
 		}
 		precond(s, shat)
 		matvec(shat, t)
 		var tt, ts float64
 		for i := range t {
-			tt += t[i] * t[i]
-			ts += t[i] * s[i]
+			tt += float64(t[i] * t[i])
+			ts += float64(t[i] * s[i])
 		}
 		var omega float64
 		if tt > breakdown {
@@ -649,7 +650,7 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 		}
 		var maxX float64
 		for i := range x {
-			x[i] += alpha*phat[i] + omega*shat[i]
+			x[i] += float64(alpha*phat[i]) + float64(omega*shat[i])
 			if a := math.Abs(x[i]); a > maxX {
 				maxX = a
 			}
@@ -664,9 +665,9 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 		}
 		var rhoNext, rNorm float64
 		for i := range r {
-			r[i] = s[i] - omega*t[i]
-			rhoNext += rhat[i] * r[i]
-			rNorm += r[i] * r[i]
+			r[i] = s[i] - float64(omega*t[i])
+			rhoNext += float64(rhat[i] * r[i])
+			rNorm += float64(r[i] * r[i])
 		}
 		// Cheap scale-aware 2-norm gate (‖r‖∞ ≤ ‖r‖₂) before paying one
 		// extra matvec for the true-residual ∞-norm check; the %16
@@ -684,7 +685,7 @@ func bicgstab(n int, mul func(x, dst []float64) error, precond func(r, z []float
 		beta := (rhoNext / rho) * (alpha / omega)
 		rho = rhoNext
 		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
+			p[i] = r[i] + float64(beta*(p[i]-float64(omega*v[i])))
 		}
 	}
 	if converged(matvec, x, b, t, tol) {
@@ -704,7 +705,8 @@ func isZero(v []float64) bool {
 }
 
 // converged checks the true residual ‖b − op(x)‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞),
-// using scratch as workspace.
+// using scratch as workspace: a backward-error-style criterion that stays
+// achievable when the solution is large, as it is for long-lived chains.
 func converged(op func(x, dst []float64), x, b, scratch []float64, tol float64) bool {
 	op(x, scratch)
 	var res, maxB, maxX float64

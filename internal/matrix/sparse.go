@@ -6,16 +6,32 @@ import (
 	"slices"
 )
 
-// CSR is a compressed sparse row matrix. Row pointers and column indices
+// CSR is a compressed sparse row matrix. Row bounds and column indices
 // are stored as 32-bit integers: the solve kernels stream them on every
 // product, so their width sets the memory traffic and footprint of the
 // largest chains. Every constructor checks that the matrix fits
 // (checkIndexRange), so widening an index back to int is always exact.
+//
+// Row i holds the entries colIdx[start[i]:end[i]] and vals[start[i]:end[i]],
+// and a stored column index c stands for column c − colOff. A matrix
+// this package builds owns its arrays: start and end are rowPtr[:rows]
+// and rowPtr[1:] of one row-pointer array, so the bounds cost nothing
+// extra, and colOff is 0. A block view (Blocks) shares its parent's
+// arrays and reads a range of every row. Every kernel takes the same
+// path for both.
 type CSR struct {
 	rows, cols int
-	rowPtr     []uint32
+	nnz        int
+	start, end []uint32
 	colIdx     []uint32
 	vals       []float64
+	colOff     uint32
+}
+
+// ownedCSR wraps a row-pointer array of length rows+1 and the entries it
+// indexes into a CSR.
+func ownedCSR(rows, cols int, rowPtr, colIdx []uint32, vals []float64) *CSR {
+	return &CSR{rows: rows, cols: cols, nnz: len(vals), start: rowPtr[:rows], end: rowPtr[1:], colIdx: colIdx, vals: vals}
 }
 
 // maxIndex bounds the column count and the entry count of a CSR or an
@@ -43,30 +59,39 @@ func (m *CSR) Rows() int { return m.rows }
 func (m *CSR) Cols() int { return m.cols }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.vals) }
+func (m *CSR) NNZ() int { return m.nnz }
 
 // At returns the element at (i, j); O(log nnz(row i)).
 func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of bounds for %dx%d", i, j, m.rows, m.cols))
 	}
-	lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], uint32(j)); ok {
+	lo, hi := int(m.start[i]), int(m.end[i])
+	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], uint32(j)+m.colOff); ok {
 		return m.vals[lo+k]
 	}
 	return 0
 }
 
 // Equal reports whether m and o are identical as stored CSR matrices:
-// same shape, same row pointers, same column indices and bit-identical
+// same shape, and in every row the same column indices and bit-identical
 // values (compared with ==, so a NaN entry never compares equal). It is
 // stricter than numerical equality — two matrices representing the same
 // operator with different structural zeros compare unequal — which is
 // exactly what the serial/parallel construction equivalence guarantees
 // need.
 func (m *CSR) Equal(o *CSR) bool {
-	return m.rows == o.rows && m.cols == o.cols && slices.Equal(m.rowPtr, o.rowPtr) &&
-		slices.Equal(m.colIdx, o.colIdx) && slices.Equal(m.vals, o.vals)
+	if m.rows != o.rows || m.cols != o.cols {
+		return false
+	}
+	for i := range m.rows {
+		mc, oc := m.colIdx[m.start[i]:m.end[i]], o.colIdx[o.start[i]:o.end[i]]
+		if !slices.Equal(m.vals[m.start[i]:m.end[i]], o.vals[o.start[i]:o.end[i]]) ||
+			!slices.EqualFunc(mc, oc, func(a, b uint32) bool { return a-m.colOff == b-o.colOff }) {
+			return false
+		}
+	}
+	return true
 }
 
 // VecMul returns the row vector v * M.
@@ -91,13 +116,15 @@ func (m *CSR) VecMulInto(v, dst []float64) error {
 		return fmt.Errorf("matrix: CSR VecMulInto dst length %d does not match %d cols", len(dst), m.cols)
 	}
 	clear(dst)
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
+	start, end, off := m.start[:len(v)], m.end[:len(v)], m.colOff
 	for i, vv := range v {
 		if vv == 0 {
 			continue
 		}
-		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-			dst[colIdx[k]] += vv * vals[k]
+		cols, vs := m.colIdx[start[i]:end[i]], m.vals[start[i]:end[i]]
+		vs = vs[:len(cols)]
+		for k, c := range cols {
+			dst[c-off] += float64(vv * vs[k])
 		}
 	}
 	return nil
@@ -106,10 +133,10 @@ func (m *CSR) VecMulInto(v, dst []float64) error {
 // RowSums returns the per-row sums, e.g. for stochasticity checks.
 func (m *CSR) RowSums() []float64 {
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
+	for i := range out {
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k]
+		for _, v := range m.vals[m.start[i]:m.end[i]] {
+			s += v
 		}
 		out[i] = s
 	}
@@ -125,11 +152,13 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("matrix: CSR MulVecInto dst length %d does not match %d rows", len(dst), m.rows)
 	}
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
+	start, end, off := m.start[:len(dst)], m.end[:len(dst)], m.colOff
 	for i := range dst {
+		cols, vs := m.colIdx[start[i]:end[i]], m.vals[start[i]:end[i]]
+		vs = vs[:len(cols)]
 		var s float64
-		for k, end := int(rowPtr[i]), int(rowPtr[i+1]); k < end; k++ {
-			s += vals[k] * v[colIdx[k]]
+		for k, c := range cols {
+			s += float64(vs[k] * v[c-off])
 		}
 		dst[i] = s
 	}
@@ -139,45 +168,39 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 // Transpose returns Mᵀ as a new CSR, preserving sparsity. It fails only
 // when M has more rows than a column index can address.
 func (m *CSR) Transpose() (*CSR, error) {
-	if err := checkIndexRange("Transpose", m.rows, len(m.vals)); err != nil {
+	if err := checkIndexRange("Transpose", m.rows, m.nnz); err != nil {
 		return nil, err
 	}
-	t := &CSR{
-		rows:   m.cols,
-		cols:   m.rows,
-		rowPtr: make([]uint32, m.cols+1),
-		colIdx: make([]uint32, len(m.vals)),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for _, j := range m.colIdx {
-		t.rowPtr[j+1]++
-	}
-	for r := 0; r < t.rows; r++ {
-		t.rowPtr[r+1] += t.rowPtr[r]
-	}
-	next := slices.Clone(t.rowPtr[:t.rows])
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			p := next[j]
-			next[j]++
-			t.colIdx[p] = uint32(i)
-			t.vals[p] = m.vals[k]
+	rowPtr := make([]uint32, m.cols+1)
+	for i := range m.rows {
+		for _, c := range m.colIdx[m.start[i]:m.end[i]] {
+			rowPtr[c-m.colOff+1]++
 		}
 	}
-	return t, nil
+	for r := range m.cols {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	next := slices.Clone(rowPtr[:m.cols])
+	colIdx := make([]uint32, m.nnz)
+	vals := make([]float64, m.nnz)
+	for i := range m.rows {
+		for k := m.start[i]; k < m.end[i]; k++ {
+			j := m.colIdx[k] - m.colOff
+			p := next[j]
+			next[j]++
+			colIdx[p] = uint32(i)
+			vals[p] = m.vals[k]
+		}
+	}
+	return ownedCSR(m.cols, m.rows, rowPtr, colIdx, vals), nil
 }
 
 // Diagonal returns the main diagonal as a vector of length min(rows, cols).
 func (m *CSR) Diagonal() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if int(m.colIdx[k]) == i {
+	out := make([]float64, min(m.rows, m.cols))
+	for i := range out {
+		for k := m.start[i]; k < m.end[i]; k++ {
+			if int(m.colIdx[k]-m.colOff) == i {
 				out[i] = m.vals[k]
 				break
 			}
@@ -191,9 +214,42 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("matrix: CSR row %d out of bounds for %d rows", i, m.rows))
 	}
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(int(m.colIdx[k]), m.vals[k])
+	for k := m.start[i]; k < m.end[i]; k++ {
+		fn(int(m.colIdx[k]-m.colOff), m.vals[k])
 	}
+}
+
+// Blocks splits the square matrix m = [[A, AB], [BA, B]] after its first
+// nA rows and columns into four block views that share m's arrays: A
+// and BA read each row up to its first column ≥ nA, AB and B read the
+// rest with their columns shifted down by nA. Rows are column-sorted, so
+// one split offset per row divides them, and each view keeps a row's
+// entries in stored order: every kernel returns on a view the bits it
+// returns on the extracted copy (SubCSR) of the same block. The views
+// cost that split array; they read m, which no kernel ever writes.
+func (m *CSR) Blocks(nA int) (a, ab, ba, b *CSR, err error) {
+	n := m.rows
+	if m.cols != n || nA < 0 || nA > n {
+		return nil, nil, nil, nil, fmt.Errorf("matrix: Blocks cannot split a %dx%d matrix after %d rows", n, m.cols, nA)
+	}
+	split := make([]uint32, n)
+	cut := m.colOff + uint32(nA)
+	for i := range split {
+		k, _ := slices.BinarySearch(m.colIdx[m.start[i]:m.end[i]], cut)
+		split[i] = m.start[i] + uint32(k)
+	}
+	view := func(cols int, start, end []uint32, off uint32) *CSR {
+		nnz := 0
+		for i := range start {
+			nnz += int(end[i] - start[i])
+		}
+		return &CSR{rows: len(start), cols: cols, nnz: nnz, start: start, end: end, colIdx: m.colIdx, vals: m.vals, colOff: off}
+	}
+	nB := n - nA
+	return view(nA, m.start[:nA], split[:nA], m.colOff),
+		view(nB, split[:nA], m.end[:nA], cut),
+		view(nA, m.start[nA:], split[nA:], m.colOff),
+		view(nB, split[nA:], m.end[nA:], cut), nil
 }
 
 // SubCSR extracts the sub-matrix with the given row and column index sets,
@@ -206,7 +262,9 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 	if err := checkIndexRange("SubCSR", len(colIdx), 0); err != nil {
 		return nil, err
 	}
-	colPos := make([]int, m.cols)
+	// colPos[c] is the output position of column c, or −1 when c is not
+	// selected; int32 holds every position checkIndexRange admits.
+	colPos := make([]int32, m.cols)
 	for i := range colPos {
 		colPos[i] = -1
 	}
@@ -218,15 +276,15 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 		if p > 0 && colIdx[p-1] >= c {
 			ascending = false
 		}
-		colPos[c] = p
+		colPos[c] = int32(p)
 	}
 	nnz := 0
 	for _, r := range rowIdx {
 		if r < 0 || r >= m.rows {
 			return nil, fmt.Errorf("matrix: SubCSR row index %d out of bounds for %d rows", r, m.rows)
 		}
-		for _, c := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
-			if colPos[c] >= 0 {
+		for _, c := range m.colIdx[m.start[r]:m.end[r]] {
+			if colPos[c-m.colOff] >= 0 {
 				nnz++
 			}
 		}
@@ -234,29 +292,25 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 	if err := checkIndexRange("SubCSR", 0, nnz); err != nil {
 		return nil, err
 	}
-	out := &CSR{
-		rows:   len(rowIdx),
-		cols:   len(colIdx),
-		rowPtr: make([]uint32, len(rowIdx)+1),
-		colIdx: make([]uint32, 0, nnz),
-		vals:   make([]float64, 0, nnz),
-	}
+	rowPtr := make([]uint32, len(rowIdx)+1)
+	outCols := make([]uint32, 0, nnz)
+	outVals := make([]float64, 0, nnz)
 	for p, r := range rowIdx {
-		rowStart := len(out.vals)
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if q := colPos[m.colIdx[k]]; q >= 0 {
-				out.colIdx = append(out.colIdx, uint32(q))
-				out.vals = append(out.vals, m.vals[k])
+		rowStart := len(outVals)
+		for k := m.start[r]; k < m.end[r]; k++ {
+			if q := colPos[m.colIdx[k]-m.colOff]; q >= 0 {
+				outCols = append(outCols, uint32(q))
+				outVals = append(outVals, m.vals[k])
 			}
 		}
 		if !ascending {
 			// A reordered column selection scrambles the in-row column
 			// order; restore the CSR invariant for this row.
-			sortRow(out.colIdx[rowStart:], out.vals[rowStart:])
+			sortRow(outCols[rowStart:], outVals[rowStart:])
 		}
-		out.rowPtr[p+1] = uint32(len(out.vals))
+		rowPtr[p+1] = uint32(len(outVals))
 	}
-	return out, nil
+	return ownedCSR(len(rowIdx), len(colIdx), rowPtr, outCols, outVals), nil
 }
 
 // sortRow stably co-sorts one row's column indices and values by column

@@ -275,23 +275,21 @@ func TestSubCSRReorderedColumns(t *testing.T) {
 // selected row and each selected column, in selection order (so output
 // columns ascend), look the entry up by a scan of the stored row.
 func subCSRReference(m *CSR, rowIdx, colIdx []int) *CSR {
-	out := &CSR{rows: len(rowIdx), cols: len(colIdx), rowPtr: make([]uint32, len(rowIdx)+1)}
+	rowPtr := make([]uint32, len(rowIdx)+1)
+	var cols []uint32
+	var vals []float64
 	for p, r := range rowIdx {
-		var cols []uint32
-		var vals []float64
 		for q, c := range colIdx {
-			for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-				if int(m.colIdx[k]) == c {
+			m.RowNonZeros(r, func(j int, v float64) {
+				if j == c {
 					cols = append(cols, uint32(q))
-					vals = append(vals, m.vals[k])
+					vals = append(vals, v)
 				}
-			}
+			})
 		}
-		out.colIdx = append(out.colIdx, cols...)
-		out.vals = append(out.vals, vals...)
-		out.rowPtr[p+1] = uint32(len(out.vals))
+		rowPtr[p+1] = uint32(len(vals))
 	}
-	return out
+	return ownedCSR(len(rowIdx), len(colIdx), rowPtr, cols, vals)
 }
 
 // TestSubCSRExactAllocation: SubCSR sizes its output in a counting pass,
